@@ -80,12 +80,6 @@ pub struct WorldConfig {
     /// and — in [`WatchdogConfig::fail`] mode — resolves the stalled
     /// in-flight AMs to `Err(AmError::Stalled)` so the wait terminates.
     pub watchdog: Option<WatchdogConfig>,
-    /// Fire-and-forget fast path for unit-output AMs (DESIGN.md §4d, on by
-    /// default): `exec_unit_am_pe` launches skip the pending table and the
-    /// per-op `Reply` envelope; completion is conveyed in bulk by
-    /// cumulative `AckCount` credits. Disable to force every unit AM onto
-    /// the tracked reply path — the `ablation_reply_elision` baseline.
-    pub reply_elision: bool,
 }
 
 /// Configuration of the per-PE liveness watchdog (DESIGN.md §4c).
@@ -204,7 +198,6 @@ impl WorldConfig {
             retransmit_timeout: crate::lamellae::queue::RETRANSMIT_TIMEOUT,
             am_deadline: None,
             watchdog: None,
-            reply_elision: true,
         }
     }
 
@@ -353,14 +346,6 @@ impl WorldConfig {
     /// Enable the liveness watchdog (DESIGN.md §4c).
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
         self.watchdog = Some(cfg);
-        self
-    }
-
-    /// Enable or disable the fire-and-forget unit-AM fast path (reply
-    /// elision with counted completions, DESIGN.md §4d). On by default;
-    /// turn off to measure the tracked-reply baseline.
-    pub fn reply_elision(mut self, on: bool) -> Self {
-        self.reply_elision = on;
         self
     }
 }

@@ -25,20 +25,10 @@ pub struct FabricLamellae {
 impl FabricLamellae {
     /// Wrap a fabric endpoint. `queue_base` is the symmetric offset of the
     /// pre-allocated queue block (see
-    /// [`queue_footprint`](crate::lamellae::queue::queue_footprint)).
+    /// [`queue_footprint`](crate::lamellae::queue::queue_footprint));
+    /// `metrics` toggles the observability counters (threaded down from
+    /// `WorldConfig::metrics`).
     pub fn new(
-        ep: FabricPe,
-        backend: Backend,
-        queue_base: usize,
-        buffer_size: usize,
-        agg_threshold: usize,
-    ) -> Self {
-        Self::with_metrics(ep, backend, queue_base, buffer_size, agg_threshold, true)
-    }
-
-    /// [`FabricLamellae::new`] with explicit control over observability
-    /// counters (threaded down from `WorldConfig::metrics`).
-    pub fn with_metrics(
         ep: FabricPe,
         backend: Backend,
         queue_base: usize,
@@ -83,12 +73,13 @@ impl Lamellae for FabricLamellae {
         self.backend
     }
 
-    fn send(&self, dst: usize, framed: &[u8]) {
-        self.queues.send(dst, framed);
-    }
-
-    fn send_with(&self, dst: usize, len: usize, fill: &mut dyn FnMut(&mut Vec<u8>)) {
-        self.queues.send_with(dst, len, fill);
+    fn send_with(
+        &self,
+        dst: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), CommError> {
+        self.queues.try_send_with(dst, len, fill)
     }
 
     fn flush(&self) {
@@ -106,16 +97,16 @@ impl Lamellae for FabricLamellae {
         self.ep.barrier_with_progress(progress);
     }
 
-    fn alloc_symmetric(&self, size: usize, align: usize) -> usize {
-        self.try_alloc_symmetric(size, align).unwrap_or_else(|e| panic!("{e}"))
+    fn alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_symmetric(size, align).map_err(map_alloc_err)
     }
 
     fn free_symmetric(&self, offset: usize) {
         self.ep.fabric().free_symmetric(offset).expect("invalid symmetric free");
     }
 
-    fn alloc_heap(&self, size: usize, align: usize) -> usize {
-        self.try_alloc_heap(size, align).unwrap_or_else(|e| panic!("{e}"))
+    fn alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_heap(self.ep.pe(), size, align).map_err(map_alloc_err)
     }
 
     fn free_heap(&self, pe: usize, offset: usize) {
@@ -162,27 +153,6 @@ impl Lamellae for FabricLamellae {
 
     fn lamellae_stats(&self) -> LamellaeStats {
         self.queues.stats()
-    }
-
-    fn try_send_with(
-        &self,
-        dst: usize,
-        len: usize,
-        fill: &mut dyn FnMut(&mut Vec<u8>),
-    ) -> Result<(), CommError> {
-        self.queues.try_send_with(dst, len, fill)
-    }
-
-    fn try_flush(&self) -> Result<(), CommError> {
-        self.queues.try_flush()
-    }
-
-    fn try_alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        self.ep.fabric().alloc_heap(self.ep.pe(), size, align).map_err(map_alloc_err)
-    }
-
-    fn try_alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        self.ep.fabric().alloc_symmetric(size, align).map_err(map_alloc_err)
     }
 
     fn take_comm_failures(&self) -> Vec<usize> {

@@ -30,12 +30,11 @@ pub use smp::SmpLamellae;
 use crate::config::Backend;
 use lamellar_metrics::{FabricStats, FaultStats, LamellaeStats};
 
-/// A communication failure surfaced by a fallible lamellae operation.
-///
-/// Infallible legacy methods ([`Lamellae::send`], [`Lamellae::alloc_heap`])
-/// paper over these by dropping or panicking; the `try_*` variants return
-/// them so the runtime can degrade gracefully — resolve an AM future to
-/// `Err` instead of hanging, shed load instead of aborting.
+/// A communication failure surfaced by a fallible lamellae operation
+/// ([`Lamellae::send_with`], [`Lamellae::alloc_heap`],
+/// [`Lamellae::alloc_symmetric`]), so the runtime can degrade gracefully —
+/// resolve an AM future to `Err` instead of hanging, shed load instead of
+/// aborting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A heap or symmetric allocation could not be satisfied (genuine
@@ -140,17 +139,19 @@ pub trait Lamellae: Send + Sync + 'static {
 
     /// Enqueue one framed message for `dst`, aggregating with other
     /// messages headed there until the aggregation threshold is reached.
-    fn send(&self, dst: usize, framed: &[u8]);
-
-    /// Zero-copy send: `fill` encodes exactly `len` framed bytes straight
-    /// into the destination's aggregation buffer, skipping the intermediate
-    /// `Vec` that [`Lamellae::send`] would copy from. The default falls back
-    /// to assemble-then-send for backends without in-place aggregation.
-    fn send_with(&self, dst: usize, len: usize, fill: &mut dyn FnMut(&mut Vec<u8>)) {
-        let mut buf = Vec::with_capacity(len);
-        fill(&mut buf);
-        self.send(dst, &buf);
-    }
+    /// Zero-copy: `fill` encodes exactly `len` framed bytes straight into
+    /// the destination's aggregation buffer.
+    ///
+    /// # Errors
+    /// [`CommError::MessageTooLarge`] when `len` exceeds the wire-chunk
+    /// capacity; [`CommError::PeerUnreachable`] when the reliable-delivery
+    /// layer has declared `dst` dead. Either way nothing is queued.
+    fn send_with(
+        &self,
+        dst: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), CommError>;
 
     /// Push every partially-filled aggregation buffer to the wire.
     fn flush(&self);
@@ -171,14 +172,24 @@ pub trait Lamellae: Send + Sync + 'static {
     /// Allocate `size` bytes in the symmetric region. The returned offset
     /// is valid on every PE. Callers coordinate collectively (root
     /// allocates, broadcasts via [`Lamellae::oob_put`]).
-    fn alloc_symmetric(&self, size: usize, align: usize) -> usize;
+    ///
+    /// # Errors
+    /// [`CommError::AllocFailed`] when the symmetric region cannot satisfy
+    /// the request. A *collective* symmetric allocation failing on one PE
+    /// but not others has no consensus protocol — callers treating this as
+    /// recoverable must coordinate the outcome themselves.
+    fn alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError>;
 
     /// Release a symmetric allocation (exactly once per allocation,
     /// coordinated by the Darc destruction protocol).
     fn free_symmetric(&self, offset: usize);
 
     /// Allocate `size` bytes from this PE's one-sided dynamic heap.
-    fn alloc_heap(&self, size: usize, align: usize) -> usize;
+    ///
+    /// # Errors
+    /// [`CommError::AllocFailed`] when the heap cannot satisfy the request
+    /// (genuine exhaustion, or an armed fault plane failing it).
+    fn alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError>;
 
     /// Release a one-sided heap allocation on `pe`.
     fn free_heap(&self, pe: usize, offset: usize);
@@ -235,58 +246,6 @@ pub trait Lamellae: Send + Sync + 'static {
     /// counts). Backends without wire queues return zeros.
     fn lamellae_stats(&self) -> LamellaeStats {
         LamellaeStats::default()
-    }
-
-    /// Fallible [`Lamellae::send_with`]: refuses oversized messages and
-    /// sends toward dead destinations instead of panicking/dropping.
-    ///
-    /// # Errors
-    /// [`CommError::MessageTooLarge`] when `len` exceeds the wire-chunk
-    /// capacity; [`CommError::PeerUnreachable`] when the reliable-delivery
-    /// layer has declared `dst` dead. The default implementation (backends
-    /// without a fallible path) always succeeds.
-    fn try_send_with(
-        &self,
-        dst: usize,
-        len: usize,
-        fill: &mut dyn FnMut(&mut Vec<u8>),
-    ) -> Result<(), CommError> {
-        self.send_with(dst, len, fill);
-        Ok(())
-    }
-
-    /// Fallible [`Lamellae::flush`]: pushes every waiting byte toward the
-    /// wire and reports destinations that have become unreachable.
-    ///
-    /// # Errors
-    /// [`CommError::PeerUnreachable`] naming one dead destination if any
-    /// pair has exhausted its delivery retries (the flush itself still runs
-    /// for all live pairs). The default implementation always succeeds.
-    fn try_flush(&self) -> Result<(), CommError> {
-        self.flush();
-        Ok(())
-    }
-
-    /// Fallible [`Lamellae::alloc_heap`]: reports exhaustion (or injected
-    /// allocation failure) instead of panicking.
-    ///
-    /// # Errors
-    /// [`CommError::AllocFailed`] when this PE's one-sided heap cannot
-    /// satisfy the request. The default implementation panics on
-    /// exhaustion (backends without fallible allocation).
-    fn try_alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        Ok(self.alloc_heap(size, align))
-    }
-
-    /// Fallible [`Lamellae::alloc_symmetric`].
-    ///
-    /// # Errors
-    /// [`CommError::AllocFailed`] when the symmetric region cannot satisfy
-    /// the request. Note that a *collective* symmetric allocation failing on
-    /// one PE but not others has no consensus protocol — callers treating
-    /// this as recoverable must coordinate the outcome themselves.
-    fn try_alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        Ok(self.alloc_symmetric(size, align))
     }
 
     /// Drain the list of destination PEs newly declared unreachable by the

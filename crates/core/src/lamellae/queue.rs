@@ -475,20 +475,6 @@ impl QueueTransport {
         }
     }
 
-    /// Fallible [`QueueTransport::flush`].
-    ///
-    /// # Errors
-    /// [`CommError::PeerUnreachable`] naming one dead destination when any
-    /// pair has exhausted its delivery retries; live pairs are still
-    /// flushed first.
-    pub fn try_flush(&self) -> Result<(), CommError> {
-        self.flush();
-        match self.dead_pairs().first() {
-            Some(&pe) => Err(CommError::PeerUnreachable { pe }),
-            None => Ok(()),
-        }
-    }
-
     /// Destinations declared unreachable so far (stable once reported).
     pub fn dead_pairs(&self) -> Vec<usize> {
         (0..self.num_pes).filter(|&dst| self.out[dst].lock().dead).collect()
@@ -1183,14 +1169,13 @@ mod tests {
         qs[0].send(1, &[1u8; 16]);
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
-            match qs[0].try_flush() {
-                Err(CommError::PeerUnreachable { pe }) => {
-                    assert_eq!(pe, 1);
-                    break;
-                }
-                Ok(()) => assert!(Instant::now() < deadline, "pair never died"),
-                Err(e) => panic!("unexpected error {e}"),
+            qs[0].flush();
+            let dead = qs[0].dead_pairs();
+            if !dead.is_empty() {
+                assert_eq!(dead, vec![1]);
+                break;
             }
+            assert!(Instant::now() < deadline, "pair never died");
             std::thread::yield_now();
         }
         assert_eq!(qs[0].take_comm_failures(), vec![1], "death reported exactly once");

@@ -7,7 +7,7 @@
 //! The runtime already executes PE-local AMs without serialization (the
 //! fast path in [`crate::runtime`]), so this Lamellae's queue machinery is
 //! nearly idle; a plain local mailbox covers the rare envelope that does go
-//! through `send` (e.g. tests forcing the wire path). One deviation from
+//! through `send_with` (e.g. tests forcing the wire path). One deviation from
 //! the paper, noted here per DESIGN.md: allocations still come from a 1-PE
 //! fabric arena rather than the global allocator, so that memory regions
 //! and arrays behave identically across all three backends ("applications
@@ -51,11 +51,12 @@ impl Lamellae for SmpLamellae {
         Backend::Smp
     }
 
-    fn send(&self, dst: usize, framed: &[u8]) {
-        self.send_with(dst, framed.len(), &mut |buf| buf.extend_from_slice(framed));
-    }
-
-    fn send_with(&self, dst: usize, len: usize, fill: &mut dyn FnMut(&mut Vec<u8>)) {
+    fn send_with(
+        &self,
+        dst: usize,
+        len: usize,
+        fill: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), CommError> {
         assert_eq!(dst, 0, "SMP world has a single PE");
         // Loopback: deframe happens in progress, matching the other
         // backends' observable behavior. Buffers cycle through `spare`.
@@ -64,6 +65,7 @@ impl Lamellae for SmpLamellae {
         buf.reserve(len);
         fill(&mut buf);
         self.mailbox.lock().push_back(buf);
+        Ok(())
     }
 
     fn flush(&self) {}
@@ -83,28 +85,20 @@ impl Lamellae for SmpLamellae {
         // One PE: a barrier is a no-op.
     }
 
-    fn alloc_symmetric(&self, size: usize, align: usize) -> usize {
-        self.try_alloc_symmetric(size, align).unwrap_or_else(|e| panic!("{e}"))
+    fn alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_symmetric(size, align).map_err(map_alloc_err)
     }
 
     fn free_symmetric(&self, offset: usize) {
         self.ep.fabric().free_symmetric(offset).expect("invalid symmetric free");
     }
 
-    fn alloc_heap(&self, size: usize, align: usize) -> usize {
-        self.try_alloc_heap(size, align).unwrap_or_else(|e| panic!("{e}"))
+    fn alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_heap(0, size, align).map_err(map_alloc_err)
     }
 
     fn free_heap(&self, pe: usize, offset: usize) {
         self.ep.fabric().free_heap(pe, offset).expect("invalid heap free");
-    }
-
-    fn try_alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        self.ep.fabric().alloc_heap(0, size, align).map_err(map_alloc_err)
-    }
-
-    fn try_alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
-        self.ep.fabric().alloc_symmetric(size, align).map_err(map_alloc_err)
     }
 
     unsafe fn put(&self, pe: usize, offset: usize, src: &[u8]) {
@@ -171,7 +165,7 @@ mod tests {
         let mut buf = Vec::new();
         frame(&env, &mut buf);
         frame(&Envelope::FreeHeap(9), &mut buf);
-        lam.send(0, &buf);
+        lam.send_with(0, buf.len(), &mut |b| b.extend_from_slice(&buf)).unwrap();
         let mut got = Vec::new();
         assert!(lam.progress(&mut |src, chunk| {
             assert_eq!(src, 0);
@@ -188,7 +182,7 @@ mod tests {
         let mut buf = Vec::new();
         frame(&Envelope::FreeHeap(1), &mut buf);
         for _ in 0..10 {
-            lam.send(0, &buf);
+            lam.send_with(0, buf.len(), &mut |b| b.extend_from_slice(&buf)).unwrap();
             assert!(lam.progress(&mut |_, _| {}));
         }
         // One buffer cycles send → mailbox → spare the whole time.
@@ -198,7 +192,7 @@ mod tests {
     #[test]
     fn smp_memory_ops_are_local() {
         let lam = smp();
-        let off = lam.alloc_heap(64, 8);
+        let off = lam.alloc_heap(64, 8).unwrap();
         // SAFETY: single PE, single thread.
         unsafe {
             lam.put(0, off, &[9, 8, 7]);
@@ -207,7 +201,7 @@ mod tests {
             assert_eq!(out, [9, 8, 7]);
         }
         lam.free_heap(0, off);
-        let s = lam.alloc_symmetric(128, 8);
+        let s = lam.alloc_symmetric(128, 8).unwrap();
         lam.free_symmetric(s);
         // Barrier is a no-op with one PE.
         lam.barrier_with(&mut || {});

@@ -104,7 +104,7 @@ impl<T: Dist> SharedMemoryRegion<T> {
             // panics — but through the typed error, not a bare expect.
             let offset = root_rt
                 .lamellae()
-                .try_alloc_symmetric(bytes, align)
+                .alloc_symmetric(bytes, align)
                 .unwrap_or_else(|e| panic!("shared region allocation: {e}"));
             let id = shared.new_trackable_id();
             SharedRegionState {
@@ -325,7 +325,7 @@ impl<T: Dist> OneSidedMemoryRegion<T> {
     pub(crate) fn try_new(rt: Arc<RuntimeInner>, len: usize) -> Result<Self, CommError> {
         let bytes = (len * std::mem::size_of::<T>()).max(1);
         let align = std::mem::align_of::<T>().max(8);
-        let offset = rt.lamellae().try_alloc_heap(bytes, align)?;
+        let offset = rt.lamellae().alloc_heap(bytes, align)?;
         let shared = rt.shared();
         let id = shared.new_trackable_id();
         let state = Arc::new(OneSidedState {

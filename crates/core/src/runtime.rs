@@ -4,10 +4,12 @@
 //! Lamellae, tracks in-flight requests for `wait_all`, and dispatches
 //! incoming envelopes:
 //!
-//! * `Request` → look up the AM in the registry, deserialize, spawn its
-//!   `exec` future on the thread pool, and send the encoded output back as
-//!   a `Reply` (paper Sec. III-C: "the communication task will create an
-//!   asynchronous task to deserialize, execute and return results").
+//! * `Request`/`RequestUnit` → look up the AM in the registry, deserialize,
+//!   execute its `exec` future (inline or on the thread pool), and report
+//!   completion — a `Reply` carrying the encoded output for tracked AMs, a
+//!   counted `AckCount` credit for unit AMs (paper Sec. III-C: "the
+//!   communication task will create an asynchronous task to deserialize,
+//!   execute and return results").
 //! * `Reply` → complete the caller's pending-request entry, decoding the
 //!   payload into the typed [`crate::am::AmHandle`].
 //! * `LargeRequest`/`FreeHeap` → the big-payload staging handshake.
@@ -181,6 +183,15 @@ struct DeadlineEntry {
 /// Re-encode-and-resend closure stored per retryable deadline entry.
 type ReissueFn = Box<dyn Fn(&Arc<RuntimeInner>) -> Result<(), CommError> + Send>;
 
+/// How an inbound AM reports completion to its origin: tracked requests
+/// answer with a `Reply`/`ReplyErr` for `req_id`; unit requests are
+/// counted and credited in bulk by cumulative `AckCount` envelopes.
+#[derive(Clone, Copy)]
+enum Completion {
+    Reply { req_id: u64 },
+    Counted,
+}
+
 /// Adapter that converts a panicking future into `Err(panic message)`, so
 /// a crashed AM produces an error reply instead of stranding its caller.
 struct CatchPanic<F>(F);
@@ -249,10 +260,6 @@ pub struct RuntimeInner {
     stall_events: AtomicU64,
     /// The most recent watchdog failure, for `try_wait_all` to report.
     last_stall: Mutex<Option<AmError>>,
-    /// Whether unit-output AMs may take the fire-and-forget wire path
-    /// (`WorldConfig::reply_elision`); off, they fall back to tracked
-    /// replies — the ablation baseline.
-    reply_elision: bool,
     /// Serving side: cumulative count of unit-AM requests from each source
     /// PE that this PE has finished executing.
     unit_served: Vec<AtomicU64>,
@@ -302,7 +309,6 @@ impl RuntimeInner {
         large_threshold: usize,
         metrics: bool,
         default_deadline: Option<Duration>,
-        reply_elision: bool,
     ) -> Arc<Self> {
         let num_pes = lamellae.num_pes();
         Arc::new(RuntimeInner {
@@ -323,7 +329,6 @@ impl RuntimeInner {
             waiting: AtomicUsize::new(0),
             stall_events: AtomicU64::new(0),
             last_stall: Mutex::new(None),
-            reply_elision,
             unit_served: (0..num_pes).map(|_| AtomicU64::new(0)).collect(),
             unit_ack_sent: (0..num_pes).map(|_| AtomicU64::new(0)).collect(),
             unit_origin: (0..num_pes).map(|_| Mutex::new(UnitOrigin::default())).collect(),
@@ -420,64 +425,34 @@ impl RuntimeInner {
     /// credits retire it. Calls that need a deadline or retry must use the
     /// tracked [`RuntimeInner::exec_am_pe_with`] path instead.
     ///
-    /// Falls back to the tracked path when elision is disabled
-    /// (`WorldConfig::reply_elision(false)`) or the payload exceeds the
+    /// Falls back to the tracked path when the payload exceeds the
     /// heap-staging threshold.
     pub fn exec_unit_am_pe<T: LamellarAm<Output = ()>>(self: &Arc<Self>, dst: usize, am: T) {
         assert!(dst < self.num_pes, "PE {dst} out of range (world has {})", self.num_pes);
         register_am::<T>();
         if dst == self.pe {
-            // Local fast path: no serialization, no completion plumbing at
-            // all beyond the `my_pending` count.
-            self.am_metrics.record_local();
-            self.my_pending.fetch_add(1, Ordering::AcqRel);
-            let ctx = AmContext { rt: Arc::clone(self), src_pe: self.pe };
-            let rt = Arc::clone(self);
-            drop(self.pool.spawn(async move {
-                if CatchPanic(am.exec(ctx)).await.is_err() {
-                    rt.am_metrics.record_panic_caught();
-                }
-                rt.my_pending.fetch_sub(1, Ordering::AcqRel);
-                rt.note_progress();
-            }));
+            // No completion plumbing beyond the `my_pending` count.
+            self.spawn_local(am, |_| {});
             return;
         }
         let payload_len = with_rt_context(self, || am.encoded_len());
-        if !self.reply_elision || payload_len > self.large_threshold {
+        if payload_len > self.large_threshold {
             // Tracked fallback: the large-payload heap-staging handshake
-            // needs a req_id, and with elision off every AM measures the
-            // ablation baseline. Dropping the handle is fine — `my_pending`
+            // needs a req_id. Dropping the handle is fine — `my_pending`
             // still tracks it.
             drop(self.exec_am_pe(dst, am));
             return;
         }
-        self.am_metrics.record_sent();
         self.am_metrics.record_unit_sent();
         self.my_pending.fetch_add(1, Ordering::AcqRel);
         // The send-count bump and the wire hand-off stay under one lock so
         // an `AckCount` (or a peer-death reconciliation) can never observe a
         // sent count that excludes a message already on the wire.
-        let sent = {
-            let mut origin = self.unit_origin[dst].lock();
-            let res = self.lamellae.try_send_with(
-                dst,
-                proto::framed_request_unit_len(payload_len),
-                &mut |buf| {
-                    proto::frame_request_unit_with(
-                        buf,
-                        am_id::<T>(),
-                        self.pe as u64,
-                        payload_len,
-                        |b| with_rt_context(self, || am.encode(b)),
-                    );
-                },
-            );
-            if res.is_ok() {
-                origin.sent += 1;
-            }
-            res.is_ok()
-        };
-        if !sent {
+        let mut origin = self.unit_origin[dst].lock();
+        if self.send_request(dst, Completion::Counted, payload_len, &am).is_ok() {
+            origin.sent += 1;
+        } else {
+            drop(origin);
             // The request never left this PE (peer already declared dead):
             // fire-and-forget has no future to fail, so just stop counting
             // it — the tracked path's dropped handle would swallow the same
@@ -541,11 +516,10 @@ impl RuntimeInner {
                     .compare_exchange(sent, served, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                let _ = self.lamellae.try_send_with(
-                    src,
-                    proto::framed_ack_count_len(served),
-                    &mut |buf| proto::frame_ack_count(buf, served),
-                );
+                let _ =
+                    self.lamellae.send_with(src, proto::framed_ack_count_len(served), &mut |buf| {
+                        proto::frame_ack_count(buf, served)
+                    });
             }
         }
     }
@@ -560,28 +534,17 @@ impl RuntimeInner {
     ) -> AmHandle<T::Output> {
         assert!(dst < self.num_pes, "PE {dst} out of range (world has {})", self.num_pes);
         register_am::<T>();
-        self.my_pending.fetch_add(1, Ordering::AcqRel);
         let (tx, rx) = oneshot::<Result<T::Output, AmError>>();
         if dst == self.pe {
-            // Local fast path: no serialization (as in the paper — local AMs
-            // are placed directly into the thread pool). Deadlines do not
-            // apply: the AM is already running here and no reply can be
-            // lost.
-            self.am_metrics.record_local();
-            let ctx = AmContext { rt: Arc::clone(self), src_pe: self.pe };
-            let rt = Arc::clone(self);
+            // Deadlines do not apply: the AM is already running here and no
+            // reply can be lost.
             let pe = self.pe;
-            drop(self.pool.spawn(async move {
-                let out = CatchPanic(am.exec(ctx)).await.map_err(|msg| {
-                    rt.am_metrics.record_panic_caught();
-                    AmError::RemotePanic { pe, msg }
-                });
-                tx.send(out);
-                rt.my_pending.fetch_sub(1, Ordering::AcqRel);
-                rt.note_progress();
-            }));
+            self.spawn_local(am, move |out| {
+                tx.send(out.map_err(|msg| AmError::RemotePanic { pe, msg }))
+            });
             return AmHandle { rx, cancel: None };
         }
+        self.my_pending.fetch_add(1, Ordering::AcqRel);
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
         let rt = Arc::clone(self);
         self.pending.insert_reply(
@@ -595,7 +558,8 @@ impl RuntimeInner {
                 rt.my_pending.fetch_sub(1, Ordering::AcqRel);
             }),
         );
-        if let Err(e) = self.send_request(dst, req_id, &am) {
+        let payload_len = with_rt_context(self, || am.encoded_len());
+        if let Err(e) = self.send_request(dst, Completion::Reply { req_id }, payload_len, &am) {
             self.fail_pending(req_id, AmError::Comm(e));
         } else if let Some(window) = deadline.or(self.default_deadline) {
             self.arm_deadline(req_id, dst, window, retry, reissue_copy);
@@ -603,21 +567,64 @@ impl RuntimeInner {
         AmHandle { rx, cancel: Some(CancelToken { rt: Arc::downgrade(self), req_id }) }
     }
 
-    /// Encode `am` and push it to the wire toward `dst` under request id
-    /// `req_id` — the heap-staging path for large payloads, the zero-copy
-    /// encode-in-place path otherwise. Takes the AM by reference so
-    /// deadline-driven re-issues can resend the same request (same id:
-    /// duplicate replies are dropped by the `Reply` handler).
+    /// Local fast path shared by every launch toward this PE: no
+    /// serialization (as in the paper — local AMs are placed directly into
+    /// the thread pool). `done` receives the outcome (`Err` carries a caught
+    /// panic's message) before the launch retires from `my_pending`.
+    fn spawn_local<T: LamellarAm>(
+        self: &Arc<Self>,
+        am: T,
+        done: impl FnOnce(Result<T::Output, String>) + Send + 'static,
+    ) {
+        self.am_metrics.record_local();
+        self.my_pending.fetch_add(1, Ordering::AcqRel);
+        let ctx = AmContext { rt: Arc::clone(self), src_pe: self.pe };
+        let rt = Arc::clone(self);
+        drop(self.pool.spawn(async move {
+            let out = CatchPanic(am.exec(ctx)).await;
+            if out.is_err() {
+                rt.am_metrics.record_panic_caught();
+            }
+            done(out);
+            rt.my_pending.fetch_sub(1, Ordering::AcqRel);
+            rt.note_progress();
+        }));
+    }
+
+    /// Encode `am` (`payload_len` bytes, from the side-effect-free
+    /// `encoded_len`) and push it to the wire toward `dst`: a `RequestUnit`
+    /// for counted completion, otherwise a `Request` under `req_id` — the
+    /// heap-staging path for large payloads, the zero-copy encode-in-place
+    /// path otherwise. Takes the AM by reference so deadline-driven
+    /// re-issues can resend the same request (same id: duplicate replies
+    /// are dropped by the `Reply` handler).
     fn send_request<T: LamellarAm>(
         self: &Arc<Self>,
         dst: usize,
-        req_id: u64,
+        completion: Completion,
+        payload_len: usize,
         am: &T,
     ) -> Result<(), CommError> {
-        // `encoded_len` is side-effect free (no Darc/region pinning), so
-        // it is safe to size the wire frame before encoding.
-        let payload_len = with_rt_context(self, || am.encoded_len());
         self.am_metrics.record_sent();
+        let encode = |b: &mut Vec<u8>| with_rt_context(self, || am.encode(b));
+        let req_id = match completion {
+            Completion::Counted => {
+                return self.lamellae.send_with(
+                    dst,
+                    proto::framed_request_unit_len(payload_len),
+                    &mut |buf| {
+                        proto::frame_request_unit_with(
+                            buf,
+                            am_id::<T>(),
+                            self.pe as u64,
+                            payload_len,
+                            encode,
+                        )
+                    },
+                );
+            }
+            Completion::Reply { req_id } => req_id,
+        };
         if payload_len > self.large_threshold {
             // Stage the payload in the one-sided heap; the receiver
             // RDMA-gets it and sends FreeHeap back.
@@ -625,7 +632,7 @@ impl RuntimeInner {
             debug_assert_eq!(payload.len(), payload_len, "encoded_len disagrees with encode");
             // On failure the request never leaves this PE: the caller fails
             // the future instead of hanging.
-            let off = self.lamellae.try_alloc_heap(payload.len(), 8)?;
+            let off = self.lamellae.alloc_heap(payload.len(), 8)?;
             // SAFETY: freshly allocated, private until the receiver is
             // told about it, freed only on FreeHeap.
             unsafe { self.lamellae.put(self.pe, off, &payload) };
@@ -636,9 +643,8 @@ impl RuntimeInner {
                 off as u64,
                 payload.len() as u64,
             );
-            if let Err(e) = self
-                .lamellae
-                .try_send_with(dst, proto::framed_len(&env), &mut |buf| frame(&env, buf))
+            if let Err(e) =
+                self.lamellae.send_with(dst, proto::framed_len(&env), &mut |buf| frame(&env, buf))
             {
                 self.lamellae.free_heap(self.pe, off);
                 return Err(e);
@@ -647,15 +653,15 @@ impl RuntimeInner {
         } else {
             // Zero-copy send: the AM encodes straight into the
             // aggregation buffer, no intermediate payload or frame Vec.
-            self.lamellae.try_send_with(dst, proto::framed_request_len(payload_len), &mut |buf| {
+            self.lamellae.send_with(dst, proto::framed_request_len(payload_len), &mut |buf| {
                 proto::frame_request_with(
                     buf,
                     am_id::<T>(),
                     req_id,
                     self.pe as u64,
                     payload_len,
-                    |b| with_rt_context(self, || am.encode(b)),
-                );
+                    encode,
+                )
             })
         }
     }
@@ -672,8 +678,10 @@ impl RuntimeInner {
         reissue_copy: Option<T>,
     ) {
         let reissue = reissue_copy.map(|am| {
-            Box::new(move |rt: &Arc<RuntimeInner>| rt.send_request(dst, req_id, &am))
-                as Box<dyn Fn(&Arc<RuntimeInner>) -> Result<(), CommError> + Send>
+            Box::new(move |rt: &Arc<RuntimeInner>| {
+                let payload_len = with_rt_context(rt, || am.encoded_len());
+                rt.send_request(dst, Completion::Reply { req_id }, payload_len, &am)
+            }) as ReissueFn
         });
         let retries_left = if reissue.is_some() { retry.max_retries } else { 0 };
         self.deadlines.lock().push(DeadlineEntry {
@@ -922,10 +930,10 @@ impl RuntimeInner {
     fn handle(self: &Arc<Self>, wire_src: usize, env: EnvelopeView<'_>) {
         match env {
             EnvelopeView::Request { am_id, req_id, src_pe, payload } => {
-                self.dispatch_request(am_id, req_id, src_pe as usize, payload);
+                self.dispatch(am_id, src_pe as usize, payload, Completion::Reply { req_id });
             }
             EnvelopeView::RequestUnit { am_id, src_pe, payload } => {
-                self.dispatch_unit_request(am_id, src_pe as usize, payload);
+                self.dispatch(am_id, src_pe as usize, payload, Completion::Counted);
             }
             EnvelopeView::AckCount { n } => self.handle_ack(wire_src, n),
             EnvelopeView::LargeRequest { am_id, req_id, src_pe, heap_offset, len } => {
@@ -934,10 +942,12 @@ impl RuntimeInner {
                 // SAFETY: the sender staged [off, off+len) for us and will
                 // not touch it until our FreeHeap arrives.
                 unsafe { self.lamellae.get(src_pe, heap_offset as usize, &mut payload) };
+                // A dead origin cannot reclaim its staging buffer anyway.
                 let env = Envelope::FreeHeap(heap_offset);
-                self.lamellae
+                let _ = self
+                    .lamellae
                     .send_with(src_pe, proto::framed_len(&env), &mut |buf| frame(&env, buf));
-                self.dispatch_request(am_id, req_id, src_pe, &payload);
+                self.dispatch(am_id, src_pe, &payload, Completion::Reply { req_id });
             }
             EnvelopeView::Reply { req_id, payload } => {
                 // An absent entry is legal under faults: the request was
@@ -1000,16 +1010,24 @@ impl RuntimeInner {
         payload_len <= INLINE_MAX_PAYLOAD && self.take_inline_budget()
     }
 
-    fn dispatch_request(self: &Arc<Self>, am_id: u64, req_id: u64, src_pe: usize, payload: &[u8]) {
+    /// Execute one inbound AM and report its completion to the origin.
+    /// Synchronous handlers complete on the first poll, right here on the
+    /// progress path (inline, within the tick's budget): no pool spawn, no
+    /// task box churn, and a tracked reply is framed straight into the
+    /// aggregation buffer. Anything else spills to the pool.
+    fn dispatch(
+        self: &Arc<Self>,
+        am_id: u64,
+        src_pe: usize,
+        payload: &[u8],
+        completion: Completion,
+    ) {
         let payload_len = payload.len();
         let mut fut = self.decode_am(am_id, src_pe, payload);
-        // Inline fast path: poll once on the progress path. Synchronous
-        // handlers complete immediately and their reply is framed straight
-        // into the aggregation buffer — no pool spawn, no task box churn.
         if self.inline_eligible(payload_len) {
             if let std::task::Poll::Ready(out) = poll_once(std::pin::Pin::new(&mut fut)) {
                 self.am_metrics.record_inline_exec();
-                self.send_reply(src_pe, req_id, out);
+                self.complete(src_pe, completion, out);
                 return;
             }
         }
@@ -1017,62 +1035,50 @@ impl RuntimeInner {
         let rt = Arc::clone(self);
         drop(self.pool.spawn(async move {
             let out = fut.await;
-            rt.send_reply(src_pe, req_id, out);
+            rt.complete(src_pe, completion, out);
+            rt.note_progress();
         }));
     }
 
-    /// Frame the outcome of a tracked AM back to its origin: a `Reply` on
-    /// success, a `ReplyErr` carrying the caught panic otherwise.
-    fn send_reply(&self, src_pe: usize, req_id: u64, out: Result<Vec<u8>, String>) {
-        self.am_metrics.record_reply_sent();
-        match out {
-            Ok(out_bytes) => {
-                self.lamellae.send_with(
-                    src_pe,
-                    proto::framed_reply_len(out_bytes.len()),
-                    &mut |buf| proto::frame_reply(buf, req_id, &out_bytes),
-                );
-            }
-            Err(msg) => {
-                // The panic is caught *here*, on the serving PE: the worker
-                // thread survives and the caller gets a typed error reply
-                // instead of a stranded future.
-                self.am_metrics.record_panic_caught();
-                let env = Envelope::ReplyErr(req_id, msg);
-                self.lamellae
-                    .send_with(src_pe, proto::framed_len(&env), &mut |buf| frame(&env, buf));
-            }
+    /// Report an executed inbound AM's outcome (`Err` carries a caught
+    /// panic's message) to its origin `src_pe`.
+    ///
+    /// * `Reply`: frame a `Reply` with the output, or a `ReplyErr` with the
+    ///   panic message — the worker survives and the caller gets a typed
+    ///   error instead of a stranded future. An output too large for one
+    ///   wire chunk also answers `ReplyErr`, carrying the
+    ///   [`CommError::MessageTooLarge`] text. A reply toward a dead origin
+    ///   is dropped (its future was already failed there).
+    /// * `Counted`: bump the per-source served count;
+    ///   [`RuntimeInner::flush_unit_acks`] conveys completion in bulk. A
+    ///   panicking unit AM still counts as served (the origin's `wait_all`
+    ///   must terminate); the panic is recorded, not reported.
+    fn complete(&self, src_pe: usize, completion: Completion, out: Result<Vec<u8>, String>) {
+        if out.is_err() {
+            self.am_metrics.record_panic_caught();
         }
-    }
-
-    /// Dispatch a fire-and-forget unit AM: execute it (inline when the
-    /// budget allows and the handler is synchronous, on the pool otherwise)
-    /// and bump the per-source served count. No reply of any kind is sent —
-    /// [`RuntimeInner::flush_unit_acks`] conveys completion in bulk. A
-    /// panicking unit AM still counts as served (the origin's `wait_all`
-    /// must terminate); the panic is recorded, not reported.
-    fn dispatch_unit_request(self: &Arc<Self>, am_id: u64, src_pe: usize, payload: &[u8]) {
-        let payload_len = payload.len();
-        let mut fut = self.decode_am(am_id, src_pe, payload);
-        if self.inline_eligible(payload_len) {
-            if let std::task::Poll::Ready(out) = poll_once(std::pin::Pin::new(&mut fut)) {
-                self.am_metrics.record_inline_exec();
-                if out.is_err() {
-                    self.am_metrics.record_panic_caught();
-                }
+        let req_id = match completion {
+            Completion::Counted => {
                 self.unit_served[src_pe].fetch_add(1, Ordering::AcqRel);
                 return;
             }
-        }
-        self.am_metrics.record_spilled_exec();
-        let rt = Arc::clone(self);
-        drop(self.pool.spawn(async move {
-            if fut.await.is_err() {
-                rt.am_metrics.record_panic_caught();
-            }
-            rt.unit_served[src_pe].fetch_add(1, Ordering::AcqRel);
-            rt.note_progress();
-        }));
+            Completion::Reply { req_id } => req_id,
+        };
+        self.am_metrics.record_reply_sent();
+        let msg = match out {
+            Ok(bytes) => match self.lamellae.send_with(
+                src_pe,
+                proto::framed_reply_len(bytes.len()),
+                &mut |buf| proto::frame_reply(buf, req_id, &bytes),
+            ) {
+                Err(e @ CommError::MessageTooLarge { .. }) => e.to_string(),
+                _ => return,
+            },
+            Err(msg) => msg,
+        };
+        let env = Envelope::ReplyErr(req_id, msg);
+        let _ =
+            self.lamellae.send_with(src_pe, proto::framed_len(&env), &mut |buf| frame(&env, buf));
     }
 
     /// Payload size (bytes) above which AM payloads take the heap-staging

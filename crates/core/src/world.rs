@@ -563,7 +563,7 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
             let lamellae: Arc<dyn Lamellae> = match cfg.backend {
                 Backend::Smp => Arc::new(SmpLamellae::new(ep)),
                 b => Arc::new(
-                    FabricLamellae::with_metrics(
+                    FabricLamellae::new(
                         ep,
                         b,
                         queue_base,
@@ -588,7 +588,6 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
                 cfg.agg_threshold,
                 cfg.metrics,
                 cfg.am_deadline,
-                cfg.reply_elision,
             );
             let progress = {
                 let rt = Arc::clone(&rt);

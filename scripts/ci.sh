@@ -19,6 +19,9 @@ cargo build --release --workspace
 echo "==> cargo build --release -p lamellar-bench (benches compile)"
 cargo build --release -p lamellar-bench --bins
 
+echo "==> cargo build --release perfbench (the performance ledger still compiles)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo test -q (hard ${TEST_TIMEOUT}s timeout)"
 timeout --signal=KILL "$TEST_TIMEOUT" cargo test -q --workspace
 

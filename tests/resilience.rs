@@ -9,6 +9,9 @@
 use lamellar_core::am::{AmError, AmOpts};
 use lamellar_core::config::WatchdogConfig;
 use lamellar_repro::prelude::*;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 lamellar_core::am! {
@@ -249,4 +252,99 @@ fn watchdog_stays_quiet_on_a_healthy_world() {
     for (pe, s) in stats.iter().enumerate() {
         assert_eq!(s.am.stalls, 0, "PE{pe} spurious watchdog verdict");
     }
+}
+
+lamellar_core::am! {
+    /// Returns `len` zero bytes: a reply too large for one wire chunk once
+    /// `len` exceeds the buffer size.
+    pub struct BigReplyAm { pub len: u64 }
+    exec(am, _ctx) -> Vec<u8> {
+        vec![0u8; am.len as usize]
+    }
+}
+
+/// A reply that cannot fit a wire chunk resolves the caller's fallible
+/// handle to `Err` naming the framed size, instead of panicking the serving
+/// PE's progress thread (and hanging the caller). The serving PE keeps
+/// answering afterwards.
+#[test]
+fn oversized_reply_is_a_typed_error_and_the_server_survives() {
+    const LEN: usize = 400 * 1024;
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    lamellar_core::world::launch_with_config(cfg, |world| {
+        if world.my_pe() == 0 {
+            let h = world.exec_am_pe(1, BigReplyAm { len: LEN as u64 }).fallible();
+            let msg = match world.block_on(h) {
+                Err(e) => e.to_string(),
+                Ok(v) => panic!("a {}-byte reply cannot fit one wire chunk", v.len()),
+            };
+            assert!(msg.contains("exceeds wire buffer capacity"), "error text: {msg}");
+            let framed: usize = msg
+                .split("message of ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("error should name the size: {msg}"));
+            assert!(framed > LEN, "framed reply size {framed} below the {LEN}-byte payload");
+            // The progress thread survived: a small follow-up still answers.
+            assert_eq!(world.block_on(world.exec_am_pe(1, EchoAm { tag: 3 })), (3, 1));
+        }
+        world.wait_all();
+        world.barrier();
+    });
+}
+
+/// Returns `Pending` once (waking itself), then `Ready`: an AM awaiting it
+/// cannot finish on the inline probe and spills to the pool.
+struct YieldOnce(bool);
+
+impl Future for YieldOnce {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            return Poll::Ready(());
+        }
+        self.0 = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    }
+}
+
+lamellar_core::am! {
+    /// Unit AM that panics, either at once (completes on the inline probe)
+    /// or after one yield (spills to the pool first).
+    pub struct UnitPanicAm { pub after_yield: bool }
+    exec(am, _ctx) -> () {
+        if am.after_yield {
+            YieldOnce(false).await;
+        }
+        panic!("injected unit AM panic");
+    }
+}
+
+/// Panicking unit AMs on the counted path still count as served, inline or
+/// spilled: the origin's `wait_all` returns with nothing left in flight, and
+/// the serving PE records both panics.
+#[test]
+fn panicking_unit_ams_are_counted_inline_and_spilled() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
+    let deltas = lamellar_core::world::launch_with_config(cfg, |world| {
+        world.barrier();
+        let before = world.stats();
+        world.barrier();
+        if world.my_pe() == 0 {
+            world.exec_unit_am_pe(1, UnitPanicAm { after_yield: false });
+            world.exec_unit_am_pe(1, UnitPanicAm { after_yield: true });
+            world.wait_all();
+            assert_eq!(world.rt().pending_count(), 0, "every unit launch retired");
+            assert_eq!(world.pending_handles(), 0, "unit AMs hold no pending slots");
+        }
+        world.barrier();
+        world.stats().delta(&before)
+    });
+    let served = &deltas[1].am;
+    assert_eq!(served.panics_caught, 2, "PE1 caught both unit AM panics");
+    assert!(served.spilled_execs >= 1, "the yielding AM spilled: {}", served.spilled_execs);
+    assert_eq!(served.inline_execs + served.spilled_execs, 2, "both AMs executed");
 }
