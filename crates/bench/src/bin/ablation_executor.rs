@@ -69,14 +69,12 @@ fn main() {
             workers,
             single_queue: single,
             thread_name: format!("abl-{label}"),
-            metrics: false,
+            metrics: true,
         }));
         let flat = flat_burst(&pool, tasks);
         let tree = recursive_tree(Arc::clone(&pool), depth);
-        let stats = pool.worker_stats();
-        let (exec, stolen): (usize, usize) =
-            stats.iter().fold((0, 0), |(e, s), &(we, ws)| (e + we, s + ws));
-        println!("  {label}: workers executed {exec} tasks, {stolen} via stealing");
+        let stats = pool.stats();
+        println!("  {label}: completed {} tasks, {} via stealing", stats.completed, stats.stolen);
         table.push_row(label, vec![Some(flat), Some(tree)]);
     }
     print!("{}", table.render());

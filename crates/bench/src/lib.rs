@@ -1,13 +1,10 @@
 //! # lamellar-bench
 //!
 //! Harnesses regenerating every figure of the paper's evaluation
-//! (Sec. IV, Figs. 2–5) plus the DESIGN.md ablations. Each figure has:
-//!
-//! * a **binary** (`cargo run -p lamellar-bench --release --bin fig<N>_…`)
-//!   that prints the figure's rows/series as a table and writes a CSV to
-//!   `bench_out/`, and
-//! * a **Criterion bench** (`cargo bench -p lamellar-bench --bench
-//!   fig<N>_…`) sampling a reduced version of the same measurement.
+//! (Sec. IV, Figs. 2–5) plus the DESIGN.md ablations. Each figure has a
+//! binary (`cargo run -p lamellar-bench --release --bin fig<N>_…`) that
+//! prints the figure's rows/series as a table and writes a CSV to
+//! `bench_out/`.
 //!
 //! Absolute numbers come from the simulated fabric, not the paper's
 //! InfiniBand cluster; EXPERIMENTS.md compares the *shapes* (who wins,

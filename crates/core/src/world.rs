@@ -620,7 +620,7 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
 }
 
 /// Construct all PE worlds without spawning PE main threads — for
-/// harnesses (e.g. Criterion benches) that need to place each PE's world
+/// harnesses (e.g. the `perfbench` ledger) that need to place each PE's world
 /// on a thread they manage themselves. Prefer [`launch`] for SPMD
 /// programs.
 pub fn spawn_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {

@@ -201,11 +201,24 @@ impl Fabric {
     /// Free a symmetric allocation. Must be called exactly once per
     /// allocation (the runtime's Darc destruction protocol guarantees this).
     ///
+    /// The block is zeroed on every PE's arena before it returns to the
+    /// allocator, so the next `alloc_symmetric` that reuses it starts from
+    /// zero like the never-touched rest of the region.
+    ///
     /// # Errors
     /// [`FabricError::InvalidFree`] when `offset` is not a live symmetric
     /// allocation.
     pub fn free_symmetric(&self, offset: usize) -> Result<()> {
-        self.sym_alloc.lock().free(offset)
+        let mut sym = self.sym_alloc.lock();
+        let len = sym.allocation_size(offset).ok_or(FabricError::InvalidFree { offset })?;
+        for arena in &self.arenas {
+            // SAFETY: the allocation is live until `free` below and its
+            // owner has finished with it on every PE (the caller's contract);
+            // holding the allocator lock keeps it from being handed out
+            // again while it is cleared.
+            unsafe { arena.slice_mut(offset, len)?.fill(0) };
+        }
+        sym.free(offset)
     }
 
     /// Allocate from `pe`'s one-sided dynamic heap.
@@ -477,6 +490,14 @@ mod tests {
             assert!(out.iter().all(|&b| b == pe as u8));
         }
         pes[0].fabric().free_symmetric(off).unwrap();
+        // The freed block is reused by the next same-size allocation, and
+        // comes back zeroed on every PE.
+        assert_eq!(pes[0].fabric().alloc_symmetric(256, 64).unwrap(), off);
+        for pe in 0..4 {
+            let mut out = [1u8; 256];
+            unsafe { pes[3].get(pe, off, &mut out).unwrap() };
+            assert!(out.iter().all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -9,19 +9,25 @@
 //! * [`FabricMetrics`] — RDMA-level puts/gets, bytes, inject- vs.
 //!   rendezvous-path splits, barrier rounds, and a put-size histogram;
 //! * [`LamellaeMetrics`] — message counts, serialized bytes, aggregation
-//!   buffer flushes, and wire-queue park/retry pressure;
+//!   buffer flushes, wire-queue park/retry pressure, buffer-pool reuse, and
+//!   reliable-delivery recovery;
 //! * [`ExecutorMetrics`] — tasks spawned/completed/stolen and per-worker
 //!   run-queue high-water marks;
 //! * [`AmMetrics`] — active messages by direction, batch-op sub-batches,
-//!   and darc lifecycle events.
+//!   darc lifecycle events, and task-resilience outcomes;
+//! * [`FaultMetrics`] — what the fault-injection plane did to the traffic.
+//!
+//! Each layer is declared once, as a list of entries, by the `layer!`
+//! macro below; the live registry, its snapshot struct, the single-field
+//! recorders, `delta` and the `Display` rows all come from that list.
 //!
 //! Each live struct is a set of relaxed atomics guarded by an `enabled`
 //! flag fixed at construction: when metrics are disabled every recording
 //! call is a single predictable branch on an immutable bool, so the hot
 //! paths stay effectively free. Snapshots ([`RuntimeStats`] and its layer
 //! structs) are plain `Clone + PartialEq` data with saturating
-//! [`RuntimeStats::delta`] and a `Display` table renderer for bench
-//! harnesses and the ablation binaries.
+//! [`RuntimeStats::delta`] and a `Display` table renderer for tests,
+//! examples and the performance ledger.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,17 +41,9 @@ pub const HISTOGRAM_BUCKETS: usize = 16;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
+    /// Add `n` events.
     #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
+    pub fn record(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -60,10 +58,7 @@ impl Counter {
 pub struct MaxGauge(AtomicU64);
 
 impl MaxGauge {
-    pub fn new() -> Self {
-        MaxGauge(AtomicU64::new(0))
-    }
-
+    /// Raise the gauge to `value` if it is higher.
     #[inline]
     pub fn record(&self, value: u64) {
         self.0.fetch_max(value, Ordering::Relaxed);
@@ -86,10 +81,7 @@ pub struct SizeHistogram {
 }
 
 impl SizeHistogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+    /// Count one sample of `value`.
     #[inline]
     pub fn record(&self, value: u64) {
         let idx =
@@ -161,47 +153,162 @@ fn fmt_pow2(v: u64) -> String {
     }
 }
 
+/// Per-worker high-water gauges (one [`MaxGauge`] per pool worker).
+type WorkerGauges = Vec<MaxGauge>;
+
+/// Renders per-worker gauges as `9 4`, or `-` for a pool with no workers.
+fn render_workers(values: &[u64]) -> String {
+    let hwm: Vec<_> = values.iter().map(u64::to_string).collect();
+    if hwm.is_empty() {
+        "-".into()
+    } else {
+        hwm.join(" ")
+    }
+}
+
+/// Declares one layer from a single list of entries:
+///
+/// ```text
+/// /// docs
+/// Live => Stats, new(params) => enabled_expr;
+/// {
+///     /// docs (shared by the live field, the snapshot field and the recorder)
+///     field: Kind [= init_expr] [=> record_name([arg])],
+/// }
+/// ```
+///
+/// and emits the live struct (an `enabled` flag plus one cell per entry),
+/// `new`, `enabled()`, `snapshot()`, one `#[inline]` recorder per named
+/// entry (`record_x()` adds one, `record_x(arg)` records `arg`), and the
+/// snapshot struct with `delta` and `rows`.
+macro_rules! layer {
+    (
+        $(#[$meta:meta])*
+        $live:ident => $stats:ident, new($($param:ident: $pty:ty),*) => $enabled:expr;
+        {
+            $(
+                $(#[$doc:meta])*
+                $field:ident: $kind:ident $(= $init:expr)? $(=> $rec:ident($($arg:ident)?))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug)]
+        pub struct $live {
+            enabled: bool,
+            $($(#[$doc])* $field: $kind,)*
+        }
+
+        impl $live {
+            /// Build the registry (all zero).
+            pub fn new($($param: $pty),*) -> Self {
+                $live { enabled: $enabled, $($field: layer!(@init $($init)?),)* }
+            }
+
+            /// Whether recording is on; fixed at construction.
+            #[inline]
+            pub fn enabled(&self) -> bool {
+                self.enabled
+            }
+
+            $(layer!(@recorder [$(#[$doc])*] $field $($rec($($arg)?))?);)*
+
+            /// Plain-data snapshot of every entry.
+            pub fn snapshot(&self) -> $stats {
+                $stats { $($field: layer!(@read $kind self.$field),)* }
+            }
+        }
+
+        #[doc = concat!("Snapshot of [`", stringify!($live), "`].")]
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct $stats {
+            $($(#[$doc])* pub $field: layer!(@value $kind),)*
+        }
+
+        impl $stats {
+            /// Change since `earlier`: counters subtract (saturating),
+            /// gauges carry the later value, histograms subtract per bucket.
+            pub fn delta(&self, earlier: &Self) -> Self {
+                $stats { $($field: layer!(@delta $kind self.$field, earlier.$field),)* }
+            }
+
+            /// `(field name, rendered value)` for every entry, in
+            /// declaration order — the rows of the `Display` table.
+            fn rows(&self) -> Vec<(&'static str, String)> {
+                vec![$((stringify!($field), layer!(@render $kind self.$field)),)*]
+            }
+        }
+    };
+    (@init) => { Default::default() };
+    (@init $init:expr) => { $init };
+    (@value Counter) => { u64 };
+    (@value MaxGauge) => { u64 };
+    (@value SizeHistogram) => { HistogramSnapshot };
+    (@value WorkerGauges) => { Vec<u64> };
+    (@read SizeHistogram $cell:expr) => { $cell.snapshot() };
+    (@read WorkerGauges $cell:expr) => { $cell.iter().map(MaxGauge::get).collect() };
+    (@read $kind:ident $cell:expr) => { $cell.get() };
+    (@delta Counter $now:expr, $then:expr) => { $now.saturating_sub($then) };
+    (@delta SizeHistogram $now:expr, $then:expr) => { $now.delta(&$then) };
+    // Gauges are not counters: a delta carries the later value through.
+    (@delta MaxGauge $now:expr, $then:expr) => { $now };
+    (@delta WorkerGauges $now:expr, $then:expr) => { $now.clone() };
+    (@render SizeHistogram $value:expr) => { $value.render() };
+    (@render WorkerGauges $value:expr) => { render_workers(&$value) };
+    (@render $kind:ident $value:expr) => { $value.to_string() };
+    (@recorder [$($doc:tt)*] $field:ident) => {};
+    (@recorder [$($doc:tt)*] $field:ident $rec:ident()) => {
+        $($doc)*
+        #[inline]
+        pub fn $rec(&self) {
+            if self.enabled {
+                self.$field.record(1);
+            }
+        }
+    };
+    (@recorder [$($doc:tt)*] $field:ident $rec:ident($arg:ident)) => {
+        $($doc)*
+        #[inline]
+        pub fn $rec(&self, $arg: u64) {
+            if self.enabled {
+                self.$field.record($arg);
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------------
-// Live per-layer metric registries (atomics, shared via Arc by the runtime).
+// Live per-layer metric registries (atomics, shared via Arc by the runtime)
+// and their snapshot types.
 // ---------------------------------------------------------------------------
 
-/// Fabric-level (simulated RDMA) metrics; one instance per [fabric], shared
-/// by all endpoint handles.
-///
-/// [fabric]: https://ofiwg.github.io/libfabric/
-#[derive(Debug)]
-pub struct FabricMetrics {
-    enabled: bool,
-    puts: Counter,
-    gets: Counter,
-    bytes_put: Counter,
-    bytes_get: Counter,
-    inject_puts: Counter,
-    rendezvous_puts: Counter,
-    barrier_rounds: Counter,
-    put_sizes: SizeHistogram,
+layer! {
+    /// Fabric-level (simulated RDMA) metrics; one instance per [fabric], shared
+    /// by all endpoint handles.
+    ///
+    /// [fabric]: https://ofiwg.github.io/libfabric/
+    FabricMetrics => FabricStats, new(enabled: bool) => enabled;
+    {
+        /// One-sided puts issued.
+        puts: Counter,
+        /// One-sided gets issued.
+        gets: Counter,
+        /// Bytes written by puts.
+        bytes_put: Counter,
+        /// Bytes read by gets.
+        bytes_get: Counter,
+        /// Puts that took the eager `fi_inject_write`-style path.
+        inject_puts: Counter,
+        /// Puts that took the rendezvous path.
+        rendezvous_puts: Counter,
+        /// Barrier entries (one per PE per world barrier).
+        barrier_rounds: Counter => record_barrier_round(),
+        /// Put sizes in power-of-two byte buckets.
+        put_sizes: SizeHistogram,
+    }
 }
 
 impl FabricMetrics {
-    pub fn new(enabled: bool) -> Self {
-        FabricMetrics {
-            enabled,
-            puts: Counter::new(),
-            gets: Counter::new(),
-            bytes_put: Counter::new(),
-            bytes_get: Counter::new(),
-            inject_puts: Counter::new(),
-            rendezvous_puts: Counter::new(),
-            barrier_rounds: Counter::new(),
-            put_sizes: SizeHistogram::new(),
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one put of `bytes`; `inject` tells whether it went down the
     /// eager `fi_inject_write`-style path or the rendezvous path.
     #[inline]
@@ -209,131 +316,86 @@ impl FabricMetrics {
         if !self.enabled {
             return;
         }
-        self.puts.inc();
-        self.bytes_put.add(bytes);
+        self.puts.record(1);
+        self.bytes_put.record(bytes);
         if inject {
-            self.inject_puts.inc();
+            self.inject_puts.record(1);
         } else {
-            self.rendezvous_puts.inc();
+            self.rendezvous_puts.record(1);
         }
         self.put_sizes.record(bytes);
     }
 
+    /// Record one get of `bytes`.
     #[inline]
     pub fn record_get(&self, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.gets.inc();
-        self.bytes_get.add(bytes);
-    }
-
-    #[inline]
-    pub fn record_barrier_round(&self) {
         if self.enabled {
-            self.barrier_rounds.inc();
-        }
-    }
-
-    pub fn snapshot(&self) -> FabricStats {
-        FabricStats {
-            puts: self.puts.get(),
-            gets: self.gets.get(),
-            bytes_put: self.bytes_put.get(),
-            bytes_get: self.bytes_get.get(),
-            inject_puts: self.inject_puts.get(),
-            rendezvous_puts: self.rendezvous_puts.get(),
-            barrier_rounds: self.barrier_rounds.get(),
-            put_sizes: self.put_sizes.snapshot(),
+            self.gets.record(1);
+            self.bytes_get.record(bytes);
         }
     }
 }
 
-/// Lamellae-level (message transport) metrics; one instance per PE.
-#[derive(Debug)]
-pub struct LamellaeMetrics {
-    enabled: bool,
-    msgs_sent: Counter,
-    msgs_received: Counter,
-    bytes_sent: Counter,
-    bytes_received: Counter,
-    flushes: Counter,
-    wire_parks: Counter,
-    wire_retries: Counter,
-    pool_hits: Counter,
-    pool_misses: Counter,
-    pool_hwm: MaxGauge,
-    retransmits: Counter,
-    dup_chunks_dropped: Counter,
-    reordered_chunks_dropped: Counter,
-    corrupt_chunks_dropped: Counter,
-    delivery_failures: Counter,
+layer! {
+    /// Lamellae-level (message transport) metrics; one instance per PE.
+    LamellaeMetrics => LamellaeStats, new(enabled: bool) => enabled;
+    {
+        /// Framed messages handed to the transport.
+        msgs_sent: Counter,
+        /// Wire chunks delivered to the receive sink.
+        msgs_received: Counter,
+        /// Framed bytes handed to the transport.
+        bytes_sent: Counter,
+        /// Chunk bytes delivered to the receive sink.
+        bytes_received: Counter,
+        /// An aggregation buffer was sealed and handed to the wire.
+        flushes: Counter => record_flush(),
+        /// A sealed buffer could not go out (peer busy) and was parked.
+        wire_parks: Counter => record_park(),
+        /// A parked buffer was retried by the progress engine.
+        wire_retries: Counter => record_retry(),
+        /// Buffer-pool acquires served by a recycled buffer.
+        pool_hits: Counter,
+        /// Buffer-pool acquires that allocated fresh (pool empty).
+        pool_misses: Counter,
+        /// High-water mark of simultaneously checked-out pool buffers (gauge:
+        /// `delta` carries the later value through unchanged; bounds the
+        /// pool's steady-state footprint).
+        pool_hwm: MaxGauge => record_pool_outstanding(outstanding),
+        /// An unacknowledged wire chunk timed out and was sent again by the
+        /// reliable-delivery layer.
+        retransmits: Counter => record_retransmit(),
+        /// An incoming chunk carried an already-delivered sequence number and
+        /// was suppressed (duplicate delivery or spurious retransmit).
+        dup_chunks_dropped: Counter => record_dup_chunk_dropped(),
+        /// An incoming chunk arrived ahead of a gap (a predecessor was lost)
+        /// and was discarded pending the go-back-N retransmit from the gap.
+        reordered_chunks_dropped: Counter => record_reordered_chunk_dropped(),
+        /// An incoming chunk failed header or checksum validation (corruption
+        /// or truncation on the wire) and was discarded without delivery.
+        corrupt_chunks_dropped: Counter => record_corrupt_chunk_dropped(),
+        /// Retries toward a destination were exhausted; the pair was declared
+        /// unreachable and its queued traffic discarded.
+        delivery_failures: Counter => record_delivery_failure(),
+    }
 }
 
 impl LamellaeMetrics {
-    pub fn new(enabled: bool) -> Self {
-        LamellaeMetrics {
-            enabled,
-            msgs_sent: Counter::new(),
-            msgs_received: Counter::new(),
-            bytes_sent: Counter::new(),
-            bytes_received: Counter::new(),
-            flushes: Counter::new(),
-            wire_parks: Counter::new(),
-            wire_retries: Counter::new(),
-            pool_hits: Counter::new(),
-            pool_misses: Counter::new(),
-            pool_hwm: MaxGauge::new(),
-            retransmits: Counter::new(),
-            dup_chunks_dropped: Counter::new(),
-            reordered_chunks_dropped: Counter::new(),
-            corrupt_chunks_dropped: Counter::new(),
-            delivery_failures: Counter::new(),
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
+    /// Record one framed message of `bytes` handed to the transport.
     #[inline]
     pub fn record_send(&self, bytes: u64) {
         if self.enabled {
-            self.msgs_sent.inc();
-            self.bytes_sent.add(bytes);
+            self.msgs_sent.record(1);
+            self.bytes_sent.record(bytes);
         }
     }
 
+    /// Record one wire chunk of `bytes` delivered to the receive sink.
     #[inline]
     pub fn record_recv(&self, bytes: u64) {
         if self.enabled {
-            self.msgs_received.inc();
-            self.bytes_received.add(bytes);
-        }
-    }
-
-    /// An aggregation buffer was sealed and handed to the wire.
-    #[inline]
-    pub fn record_flush(&self) {
-        if self.enabled {
-            self.flushes.inc();
-        }
-    }
-
-    /// A sealed buffer could not go out (peer busy) and was parked.
-    #[inline]
-    pub fn record_park(&self) {
-        if self.enabled {
-            self.wire_parks.inc();
-        }
-    }
-
-    /// A parked buffer was retried by the progress engine.
-    #[inline]
-    pub fn record_retry(&self) {
-        if self.enabled {
-            self.wire_retries.inc();
+            self.msgs_received.record(1);
+            self.bytes_received.record(bytes);
         }
     }
 
@@ -344,523 +406,15 @@ impl LamellaeMetrics {
     pub fn record_pool_acquire(&self, hit: bool) {
         if self.enabled {
             if hit {
-                self.pool_hits.inc();
+                self.pool_hits.record(1);
             } else {
-                self.pool_misses.inc();
+                self.pool_misses.record(1);
             }
         }
     }
-
-    /// Record `outstanding` pool buffers checked out simultaneously
-    /// (high-water gauge — bounds the pool's steady-state footprint).
-    #[inline]
-    pub fn record_pool_outstanding(&self, outstanding: u64) {
-        if self.enabled {
-            self.pool_hwm.record(outstanding);
-        }
-    }
-
-    /// An unacknowledged wire chunk timed out and was sent again by the
-    /// reliable-delivery layer.
-    #[inline]
-    pub fn record_retransmit(&self) {
-        if self.enabled {
-            self.retransmits.inc();
-        }
-    }
-
-    /// An incoming chunk carried an already-delivered sequence number and
-    /// was suppressed (duplicate delivery or spurious retransmit).
-    #[inline]
-    pub fn record_dup_chunk_dropped(&self) {
-        if self.enabled {
-            self.dup_chunks_dropped.inc();
-        }
-    }
-
-    /// An incoming chunk arrived ahead of a gap (a predecessor was lost)
-    /// and was discarded pending the go-back-N retransmit.
-    #[inline]
-    pub fn record_reordered_chunk_dropped(&self) {
-        if self.enabled {
-            self.reordered_chunks_dropped.inc();
-        }
-    }
-
-    /// An incoming chunk failed header or checksum validation (corruption
-    /// or truncation on the wire) and was discarded without delivery.
-    #[inline]
-    pub fn record_corrupt_chunk_dropped(&self) {
-        if self.enabled {
-            self.corrupt_chunks_dropped.inc();
-        }
-    }
-
-    /// Retries toward a destination were exhausted; the pair was declared
-    /// unreachable and its queued traffic discarded.
-    #[inline]
-    pub fn record_delivery_failure(&self) {
-        if self.enabled {
-            self.delivery_failures.inc();
-        }
-    }
-
-    pub fn snapshot(&self) -> LamellaeStats {
-        LamellaeStats {
-            msgs_sent: self.msgs_sent.get(),
-            msgs_received: self.msgs_received.get(),
-            bytes_sent: self.bytes_sent.get(),
-            bytes_received: self.bytes_received.get(),
-            flushes: self.flushes.get(),
-            wire_parks: self.wire_parks.get(),
-            wire_retries: self.wire_retries.get(),
-            pool_hits: self.pool_hits.get(),
-            pool_misses: self.pool_misses.get(),
-            pool_hwm: self.pool_hwm.get(),
-            retransmits: self.retransmits.get(),
-            dup_chunks_dropped: self.dup_chunks_dropped.get(),
-            reordered_chunks_dropped: self.reordered_chunks_dropped.get(),
-            corrupt_chunks_dropped: self.corrupt_chunks_dropped.get(),
-            delivery_failures: self.delivery_failures.get(),
-        }
-    }
-}
-
-/// Fault-injection metrics; one instance per fault plane (fabric-global).
-///
-/// These count what the injector *did* to the traffic, while the matching
-/// [`LamellaeMetrics`] counters count how the reliable-delivery layer
-/// *recovered* — e.g. `drops_injected` on this side vs. `retransmits` on
-/// the transport side.
-#[derive(Debug, Default)]
-pub struct FaultMetrics {
-    drops: Counter,
-    dups: Counter,
-    delays: Counter,
-    truncations: Counter,
-    corruptions: Counter,
-    alloc_failures: Counter,
-}
-
-impl FaultMetrics {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A chunk transmission was suppressed entirely.
-    #[inline]
-    pub fn record_drop(&self) {
-        self.drops.inc();
-    }
-
-    /// A chunk was delivered twice.
-    #[inline]
-    pub fn record_dup(&self) {
-        self.dups.inc();
-    }
-
-    /// A chunk was held back before delivery.
-    #[inline]
-    pub fn record_delay(&self) {
-        self.delays.inc();
-    }
-
-    /// A chunk was delivered with bytes cut off the end.
-    #[inline]
-    pub fn record_truncation(&self) {
-        self.truncations.inc();
-    }
-
-    /// A chunk was delivered with a bit flipped.
-    #[inline]
-    pub fn record_corruption(&self) {
-        self.corruptions.inc();
-    }
-
-    /// A heap or symmetric allocation was failed artificially.
-    #[inline]
-    pub fn record_alloc_failure(&self) {
-        self.alloc_failures.inc();
-    }
-
-    pub fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            drops_injected: self.drops.get(),
-            dups_injected: self.dups.get(),
-            delays_injected: self.delays.get(),
-            truncations_injected: self.truncations.get(),
-            corruptions_injected: self.corruptions.get(),
-            alloc_failures_injected: self.alloc_failures.get(),
-        }
-    }
-}
-
-/// Executor-level metrics; one instance per PE's thread pool.
-#[derive(Debug)]
-pub struct ExecutorMetrics {
-    enabled: bool,
-    spawned: Counter,
-    completed: Counter,
-    stolen: Counter,
-    queue_hwm: Vec<MaxGauge>,
-}
-
-impl ExecutorMetrics {
-    pub fn new(enabled: bool, workers: usize) -> Self {
-        ExecutorMetrics {
-            enabled,
-            spawned: Counter::new(),
-            completed: Counter::new(),
-            stolen: Counter::new(),
-            queue_hwm: (0..workers).map(|_| MaxGauge::new()).collect(),
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    pub fn record_spawn(&self) {
-        if self.enabled {
-            self.spawned.inc();
-        }
-    }
-
-    #[inline]
-    pub fn record_complete(&self) {
-        if self.enabled {
-            self.completed.inc();
-        }
-    }
-
-    #[inline]
-    pub fn record_steal(&self) {
-        if self.enabled {
-            self.stolen.inc();
-        }
-    }
-
-    /// Record `depth` pending tasks observed on `worker`'s local queue.
-    #[inline]
-    pub fn record_queue_depth(&self, worker: usize, depth: u64) {
-        if self.enabled {
-            if let Some(g) = self.queue_hwm.get(worker) {
-                g.record(depth);
-            }
-        }
-    }
-
-    pub fn snapshot(&self) -> ExecutorStats {
-        ExecutorStats {
-            spawned: self.spawned.get(),
-            completed: self.completed.get(),
-            stolen: self.stolen.get(),
-            queue_depth_hwm: self.queue_hwm.iter().map(MaxGauge::get).collect(),
-        }
-    }
-}
-
-/// AM/array-layer metrics; one instance per PE's runtime.
-#[derive(Debug)]
-pub struct AmMetrics {
-    enabled: bool,
-    sent: Counter,
-    received: Counter,
-    local: Counter,
-    replies_sent: Counter,
-    replies_received: Counter,
-    batch_sub_batches: Counter,
-    darcs_created: Counter,
-    darcs_dropped: Counter,
-    panics_caught: Counter,
-    timeouts: Counter,
-    retries: Counter,
-    cancelled: Counter,
-    stalls: Counter,
-    unit_sent: Counter,
-    acks_received: Counter,
-    inline_execs: Counter,
-    spilled_execs: Counter,
-}
-
-impl AmMetrics {
-    pub fn new(enabled: bool) -> Self {
-        AmMetrics {
-            enabled,
-            sent: Counter::new(),
-            received: Counter::new(),
-            local: Counter::new(),
-            replies_sent: Counter::new(),
-            replies_received: Counter::new(),
-            batch_sub_batches: Counter::new(),
-            darcs_created: Counter::new(),
-            darcs_dropped: Counter::new(),
-            panics_caught: Counter::new(),
-            timeouts: Counter::new(),
-            retries: Counter::new(),
-            cancelled: Counter::new(),
-            stalls: Counter::new(),
-            unit_sent: Counter::new(),
-            acks_received: Counter::new(),
-            inline_execs: Counter::new(),
-            spilled_execs: Counter::new(),
-        }
-    }
-
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// An AM was serialized and sent to a remote PE.
-    #[inline]
-    pub fn record_sent(&self) {
-        if self.enabled {
-            self.sent.inc();
-        }
-    }
-
-    /// An inbound AM was dispatched for execution on this PE.
-    #[inline]
-    pub fn record_received(&self) {
-        if self.enabled {
-            self.received.inc();
-        }
-    }
-
-    /// An AM targeted this PE and ran without serialization.
-    #[inline]
-    pub fn record_local(&self) {
-        if self.enabled {
-            self.local.inc();
-        }
-    }
-
-    #[inline]
-    pub fn record_reply_sent(&self) {
-        if self.enabled {
-            self.replies_sent.inc();
-        }
-    }
-
-    #[inline]
-    pub fn record_reply_received(&self) {
-        if self.enabled {
-            self.replies_received.inc();
-        }
-    }
-
-    /// A batched array op fanned out into `n` per-PE sub-batches.
-    #[inline]
-    pub fn record_sub_batches(&self, n: u64) {
-        if self.enabled {
-            self.batch_sub_batches.add(n);
-        }
-    }
-
-    #[inline]
-    pub fn record_darc_created(&self) {
-        if self.enabled {
-            self.darcs_created.inc();
-        }
-    }
-
-    #[inline]
-    pub fn record_darc_dropped(&self) {
-        if self.enabled {
-            self.darcs_dropped.inc();
-        }
-    }
-
-    /// An AM handler's `exec` panicked and was caught on this (serving) PE;
-    /// the caller was sent an error reply instead.
-    #[inline]
-    pub fn record_panic_caught(&self) {
-        if self.enabled {
-            self.panics_caught.inc();
-        }
-    }
-
-    /// A pending AM was resolved to `Err(Timeout)` after its deadline (and
-    /// any retries) expired.
-    #[inline]
-    pub fn record_timeout(&self) {
-        if self.enabled {
-            self.timeouts.inc();
-        }
-    }
-
-    /// An idempotent AM was re-issued after a deadline-window expiry.
-    #[inline]
-    pub fn record_retry(&self) {
-        if self.enabled {
-            self.retries.inc();
-        }
-    }
-
-    /// A pending AM was cancelled by its caller before completion.
-    #[inline]
-    pub fn record_cancelled(&self) {
-        if self.enabled {
-            self.cancelled.inc();
-        }
-    }
-
-    /// The liveness watchdog declared a zero-progress stall verdict.
-    #[inline]
-    pub fn record_stall(&self) {
-        if self.enabled {
-            self.stalls.inc();
-        }
-    }
-
-    /// A unit-output AM took the fire-and-forget wire path (reply elided;
-    /// completion via counted acks).
-    #[inline]
-    pub fn record_unit_sent(&self) {
-        if self.enabled {
-            self.unit_sent.inc();
-        }
-    }
-
-    /// A cumulative `AckCount` envelope arrived from a serving PE.
-    #[inline]
-    pub fn record_ack_received(&self) {
-        if self.enabled {
-            self.acks_received.inc();
-        }
-    }
-
-    /// An inbound AM completed inline on the progress path (one poll, no
-    /// pool spawn).
-    #[inline]
-    pub fn record_inline_exec(&self) {
-        if self.enabled {
-            self.inline_execs.inc();
-        }
-    }
-
-    /// An inbound AM returned `Pending` (or the inline budget was spent)
-    /// and spilled to the thread pool.
-    #[inline]
-    pub fn record_spilled_exec(&self) {
-        if self.enabled {
-            self.spilled_execs.inc();
-        }
-    }
-
-    pub fn snapshot(&self) -> AmStats {
-        AmStats {
-            sent: self.sent.get(),
-            received: self.received.get(),
-            local: self.local.get(),
-            replies_sent: self.replies_sent.get(),
-            replies_received: self.replies_received.get(),
-            batch_sub_batches: self.batch_sub_batches.get(),
-            darcs_created: self.darcs_created.get(),
-            darcs_dropped: self.darcs_dropped.get(),
-            panics_caught: self.panics_caught.get(),
-            timeouts: self.timeouts.get(),
-            retries: self.retries.get(),
-            cancelled: self.cancelled.get(),
-            stalls: self.stalls.get(),
-            unit_sent: self.unit_sent.get(),
-            acks_received: self.acks_received.get(),
-            inline_execs: self.inline_execs.get(),
-            spilled_execs: self.spilled_execs.get(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot types: plain data, Display, delta().
-// ---------------------------------------------------------------------------
-
-/// Snapshot of [`FabricMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FabricStats {
-    pub puts: u64,
-    pub gets: u64,
-    pub bytes_put: u64,
-    pub bytes_get: u64,
-    pub inject_puts: u64,
-    pub rendezvous_puts: u64,
-    pub barrier_rounds: u64,
-    pub put_sizes: HistogramSnapshot,
-}
-
-impl FabricStats {
-    pub fn delta(&self, earlier: &Self) -> Self {
-        FabricStats {
-            puts: self.puts.saturating_sub(earlier.puts),
-            gets: self.gets.saturating_sub(earlier.gets),
-            bytes_put: self.bytes_put.saturating_sub(earlier.bytes_put),
-            bytes_get: self.bytes_get.saturating_sub(earlier.bytes_get),
-            inject_puts: self.inject_puts.saturating_sub(earlier.inject_puts),
-            rendezvous_puts: self.rendezvous_puts.saturating_sub(earlier.rendezvous_puts),
-            barrier_rounds: self.barrier_rounds.saturating_sub(earlier.barrier_rounds),
-            put_sizes: self.put_sizes.delta(&earlier.put_sizes),
-        }
-    }
-}
-
-/// Snapshot of [`LamellaeMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LamellaeStats {
-    pub msgs_sent: u64,
-    pub msgs_received: u64,
-    pub bytes_sent: u64,
-    pub bytes_received: u64,
-    pub flushes: u64,
-    pub wire_parks: u64,
-    pub wire_retries: u64,
-    /// Buffer-pool acquires served by a recycled buffer.
-    pub pool_hits: u64,
-    /// Buffer-pool acquires that allocated fresh (pool empty).
-    pub pool_misses: u64,
-    /// High-water mark of simultaneously checked-out pool buffers (gauge:
-    /// [`delta`](Self::delta) carries the later value through unchanged).
-    pub pool_hwm: u64,
-    /// Unacked chunks re-sent after a retransmit timeout.
-    pub retransmits: u64,
-    /// Received chunks suppressed as already-delivered duplicates.
-    pub dup_chunks_dropped: u64,
-    /// Received chunks discarded because a predecessor was missing
-    /// (go-back-N gap; the sender will retransmit from the gap).
-    pub reordered_chunks_dropped: u64,
-    /// Received chunks discarded on header/checksum validation failure.
-    pub corrupt_chunks_dropped: u64,
-    /// Destinations declared unreachable after retry exhaustion.
-    pub delivery_failures: u64,
 }
 
 impl LamellaeStats {
-    pub fn delta(&self, earlier: &Self) -> Self {
-        LamellaeStats {
-            msgs_sent: self.msgs_sent.saturating_sub(earlier.msgs_sent),
-            msgs_received: self.msgs_received.saturating_sub(earlier.msgs_received),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-            wire_parks: self.wire_parks.saturating_sub(earlier.wire_parks),
-            wire_retries: self.wire_retries.saturating_sub(earlier.wire_retries),
-            pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
-            pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
-            pool_hwm: self.pool_hwm,
-            retransmits: self.retransmits.saturating_sub(earlier.retransmits),
-            dup_chunks_dropped: self.dup_chunks_dropped.saturating_sub(earlier.dup_chunks_dropped),
-            reordered_chunks_dropped: self
-                .reordered_chunks_dropped
-                .saturating_sub(earlier.reordered_chunks_dropped),
-            corrupt_chunks_dropped: self
-                .corrupt_chunks_dropped
-                .saturating_sub(earlier.corrupt_chunks_dropped),
-            delivery_failures: self.delivery_failures.saturating_sub(earlier.delivery_failures),
-        }
-    }
-
     /// Fraction of pool acquires served without allocating, in `[0, 1]`;
     /// `None` before the first acquire.
     pub fn pool_hit_rate(&self) -> Option<f64> {
@@ -869,41 +423,38 @@ impl LamellaeStats {
     }
 }
 
-/// Snapshot of [`FaultMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultStats {
-    /// Chunk transmissions suppressed entirely by the injector.
-    pub drops_injected: u64,
-    /// Chunks delivered twice by the injector.
-    pub dups_injected: u64,
-    /// Chunks held back before delivery by the injector.
-    pub delays_injected: u64,
-    /// Chunks delivered with bytes cut off the end.
-    pub truncations_injected: u64,
-    /// Chunks delivered with a bit flipped.
-    pub corruptions_injected: u64,
-    /// Heap/symmetric allocations failed artificially.
-    pub alloc_failures_injected: u64,
+layer! {
+    /// Fault-injection metrics; one instance per fault plane (fabric-global).
+    ///
+    /// These count what the injector *did* to the traffic, while the matching
+    /// [`LamellaeMetrics`] counters count how the reliable-delivery layer
+    /// *recovered* — e.g. `drops_injected` on this side vs. `retransmits` on
+    /// the transport side. They count whatever the metrics switch says: an
+    /// armed plane always reports what it injected.
+    FaultMetrics => FaultStats, new() => true;
+    {
+        /// A chunk transmission was suppressed entirely by the injector.
+        drops_injected: Counter => record_drop(),
+        /// A chunk was delivered twice by the injector.
+        dups_injected: Counter => record_dup(),
+        /// A chunk was held back before delivery by the injector.
+        delays_injected: Counter => record_delay(),
+        /// A chunk was delivered with bytes cut off the end.
+        truncations_injected: Counter => record_truncation(),
+        /// A chunk was delivered with a bit flipped.
+        corruptions_injected: Counter => record_corruption(),
+        /// A heap or symmetric allocation was failed artificially.
+        alloc_failures_injected: Counter => record_alloc_failure(),
+    }
+}
+
+impl Default for FaultMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FaultStats {
-    pub fn delta(&self, earlier: &Self) -> Self {
-        FaultStats {
-            drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
-            dups_injected: self.dups_injected.saturating_sub(earlier.dups_injected),
-            delays_injected: self.delays_injected.saturating_sub(earlier.delays_injected),
-            truncations_injected: self
-                .truncations_injected
-                .saturating_sub(earlier.truncations_injected),
-            corruptions_injected: self
-                .corruptions_injected
-                .saturating_sub(earlier.corruptions_injected),
-            alloc_failures_injected: self
-                .alloc_failures_injected
-                .saturating_sub(earlier.alloc_failures_injected),
-        }
-    }
-
     /// Total faults injected across every category.
     pub fn total(&self) -> u64 {
         self.drops_injected
@@ -915,81 +466,77 @@ impl FaultStats {
     }
 }
 
-/// Snapshot of [`ExecutorMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExecutorStats {
-    pub spawned: u64,
-    pub completed: u64,
-    pub stolen: u64,
-    /// Per-worker run-queue depth high-water marks. Gauges, not counters:
-    /// [`delta`](Self::delta) carries the later value through unchanged.
-    pub queue_depth_hwm: Vec<u64>,
+layer! {
+    /// Executor-level metrics; one instance per PE's thread pool.
+    ExecutorMetrics => ExecutorStats, new(enabled: bool, workers: usize) => enabled;
+    {
+        /// Tasks spawned onto the pool.
+        spawned: Counter => record_spawn(),
+        /// Tasks that ran to completion (on a worker or a helping thread).
+        completed: Counter => record_complete(),
+        /// Tasks a worker took from a sibling worker's deque.
+        stolen: Counter => record_steal(),
+        /// Per-worker run-queue depth high-water marks. Gauges, not counters:
+        /// `delta` carries the later value through unchanged.
+        queue_depth_hwm: WorkerGauges = (0..workers).map(|_| MaxGauge::default()).collect(),
+    }
 }
 
-impl ExecutorStats {
-    pub fn delta(&self, earlier: &Self) -> Self {
-        ExecutorStats {
-            spawned: self.spawned.saturating_sub(earlier.spawned),
-            completed: self.completed.saturating_sub(earlier.completed),
-            stolen: self.stolen.saturating_sub(earlier.stolen),
-            queue_depth_hwm: self.queue_depth_hwm.clone(),
+impl ExecutorMetrics {
+    /// Record `depth` pending tasks observed on `worker`'s local queue.
+    #[inline]
+    pub fn record_queue_depth(&self, worker: usize, depth: u64) {
+        if self.enabled {
+            if let Some(g) = self.queue_depth_hwm.get(worker) {
+                g.record(depth);
+            }
         }
     }
 }
 
-/// Snapshot of [`AmMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AmStats {
-    pub sent: u64,
-    pub received: u64,
-    pub local: u64,
-    pub replies_sent: u64,
-    pub replies_received: u64,
-    pub batch_sub_batches: u64,
-    pub darcs_created: u64,
-    pub darcs_dropped: u64,
-    /// AM handler panics caught on this (serving) PE.
-    pub panics_caught: u64,
-    /// Pending AMs resolved to `Err(Timeout)` after deadline expiry.
-    pub timeouts: u64,
-    /// Idempotent-AM re-issues after a deadline-window expiry.
-    pub retries: u64,
-    /// Pending AMs cancelled by their caller.
-    pub cancelled: u64,
-    /// Liveness-watchdog zero-progress stall verdicts.
-    pub stalls: u64,
-    /// Fire-and-forget unit AMs sent (reply elided; counted-ack completion).
-    pub unit_sent: u64,
-    /// Cumulative `AckCount` envelopes received from serving PEs.
-    pub acks_received: u64,
-    /// Inbound AMs completed inline on the progress path (no pool spawn).
-    pub inline_execs: u64,
-    /// Inbound AMs that returned `Pending` (or exhausted the inline budget)
-    /// and spilled to the thread pool.
-    pub spilled_execs: u64,
-}
-
-impl AmStats {
-    pub fn delta(&self, earlier: &Self) -> Self {
-        AmStats {
-            sent: self.sent.saturating_sub(earlier.sent),
-            received: self.received.saturating_sub(earlier.received),
-            local: self.local.saturating_sub(earlier.local),
-            replies_sent: self.replies_sent.saturating_sub(earlier.replies_sent),
-            replies_received: self.replies_received.saturating_sub(earlier.replies_received),
-            batch_sub_batches: self.batch_sub_batches.saturating_sub(earlier.batch_sub_batches),
-            darcs_created: self.darcs_created.saturating_sub(earlier.darcs_created),
-            darcs_dropped: self.darcs_dropped.saturating_sub(earlier.darcs_dropped),
-            panics_caught: self.panics_caught.saturating_sub(earlier.panics_caught),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            retries: self.retries.saturating_sub(earlier.retries),
-            cancelled: self.cancelled.saturating_sub(earlier.cancelled),
-            stalls: self.stalls.saturating_sub(earlier.stalls),
-            unit_sent: self.unit_sent.saturating_sub(earlier.unit_sent),
-            acks_received: self.acks_received.saturating_sub(earlier.acks_received),
-            inline_execs: self.inline_execs.saturating_sub(earlier.inline_execs),
-            spilled_execs: self.spilled_execs.saturating_sub(earlier.spilled_execs),
-        }
+layer! {
+    /// AM/array-layer metrics; one instance per PE's runtime.
+    AmMetrics => AmStats, new(enabled: bool) => enabled;
+    {
+        /// An AM was serialized and sent to a remote PE.
+        sent: Counter => record_sent(),
+        /// An inbound AM was dispatched for execution on this PE.
+        received: Counter => record_received(),
+        /// An AM targeted this PE and ran without serialization.
+        local: Counter => record_local(),
+        /// A reply envelope was sent back to an AM's origin.
+        replies_sent: Counter => record_reply_sent(),
+        /// A reply envelope arrived for one of this PE's pending AMs.
+        replies_received: Counter => record_reply_received(),
+        /// Per-PE sub-batches that batched array ops fanned out into.
+        batch_sub_batches: Counter => record_sub_batches(n),
+        /// Darcs constructed on this PE.
+        darcs_created: Counter => record_darc_created(),
+        /// Darcs whose last handle on this PE was dropped.
+        darcs_dropped: Counter => record_darc_dropped(),
+        /// An AM handler's `exec` panicked and was caught on this (serving)
+        /// PE; the caller was sent an error reply instead.
+        panics_caught: Counter => record_panic_caught(),
+        /// A pending AM was resolved to `Err(Timeout)` after its deadline
+        /// (and any retries) expired.
+        timeouts: Counter => record_timeout(),
+        /// An idempotent AM was re-issued after a deadline-window expiry.
+        retries: Counter => record_retry(),
+        /// A pending AM was cancelled by its caller before completion.
+        cancelled: Counter => record_cancelled(),
+        /// The liveness watchdog declared a zero-progress stall verdict.
+        stalls: Counter => record_stall(),
+        /// A unit-output AM took the fire-and-forget wire path (reply elided;
+        /// completion via counted acks).
+        unit_sent: Counter => record_unit_sent(),
+        /// A cumulative `AckCount` envelope arrived from a serving PE.
+        acks_received: Counter => record_ack_received(),
+        /// An inbound AM completed inline on the progress path (one poll, no
+        /// pool spawn).
+        inline_execs: Counter => record_inline_exec(),
+        /// An inbound AM returned `Pending` (or the inline budget was spent)
+        /// and spilled to the thread pool.
+        spilled_execs: Counter => record_spilled_exec(),
     }
 }
 
@@ -1031,68 +578,21 @@ impl RuntimeStats {
 
 impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "layer     metric                 value")?;
-        writeln!(f, "--------- ---------------------- ------------")?;
-        let mut row = |layer: &str, metric: &str, value: String| {
-            writeln!(f, "{layer:<9} {metric:<22} {value}")
-        };
-        row("fabric", "puts", self.fabric.puts.to_string())?;
-        row("fabric", "gets", self.fabric.gets.to_string())?;
-        row("fabric", "bytes_put", self.fabric.bytes_put.to_string())?;
-        row("fabric", "bytes_get", self.fabric.bytes_get.to_string())?;
-        row("fabric", "inject_puts", self.fabric.inject_puts.to_string())?;
-        row("fabric", "rendezvous_puts", self.fabric.rendezvous_puts.to_string())?;
-        row("fabric", "barrier_rounds", self.fabric.barrier_rounds.to_string())?;
-        row("fabric", "put_sizes", self.fabric.put_sizes.render())?;
-        row("lamellae", "msgs_sent", self.lamellae.msgs_sent.to_string())?;
-        row("lamellae", "msgs_received", self.lamellae.msgs_received.to_string())?;
-        row("lamellae", "bytes_sent", self.lamellae.bytes_sent.to_string())?;
-        row("lamellae", "bytes_received", self.lamellae.bytes_received.to_string())?;
-        row("lamellae", "flushes", self.lamellae.flushes.to_string())?;
-        row("lamellae", "wire_parks", self.lamellae.wire_parks.to_string())?;
-        row("lamellae", "wire_retries", self.lamellae.wire_retries.to_string())?;
-        row("lamellae", "pool_hits", self.lamellae.pool_hits.to_string())?;
-        row("lamellae", "pool_misses", self.lamellae.pool_misses.to_string())?;
-        row("lamellae", "pool_hwm", self.lamellae.pool_hwm.to_string())?;
-        row("lamellae", "retransmits", self.lamellae.retransmits.to_string())?;
-        row("lamellae", "dup_chunks_dropped", self.lamellae.dup_chunks_dropped.to_string())?;
-        row("lamellae", "reordered_drops", self.lamellae.reordered_chunks_dropped.to_string())?;
-        row("lamellae", "corrupt_drops", self.lamellae.corrupt_chunks_dropped.to_string())?;
-        row("lamellae", "delivery_failures", self.lamellae.delivery_failures.to_string())?;
-        row("executor", "spawned", self.executor.spawned.to_string())?;
-        row("executor", "completed", self.executor.completed.to_string())?;
-        row("executor", "stolen", self.executor.stolen.to_string())?;
-        let hwm = self
-            .executor
-            .queue_depth_hwm
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        row("executor", "queue_depth_hwm", if hwm.is_empty() { "-".into() } else { hwm })?;
-        row("am", "sent", self.am.sent.to_string())?;
-        row("am", "received", self.am.received.to_string())?;
-        row("am", "local", self.am.local.to_string())?;
-        row("am", "replies_sent", self.am.replies_sent.to_string())?;
-        row("am", "replies_received", self.am.replies_received.to_string())?;
-        row("am", "batch_sub_batches", self.am.batch_sub_batches.to_string())?;
-        row("am", "darcs_created", self.am.darcs_created.to_string())?;
-        row("am", "darcs_dropped", self.am.darcs_dropped.to_string())?;
-        row("am", "panics_caught", self.am.panics_caught.to_string())?;
-        row("am", "timeouts", self.am.timeouts.to_string())?;
-        row("am", "retries", self.am.retries.to_string())?;
-        row("am", "cancelled", self.am.cancelled.to_string())?;
-        row("am", "stalls", self.am.stalls.to_string())?;
-        row("am", "unit_sent", self.am.unit_sent.to_string())?;
-        row("am", "acks_received", self.am.acks_received.to_string())?;
-        row("am", "inline_execs", self.am.inline_execs.to_string())?;
-        row("am", "spilled_execs", self.am.spilled_execs.to_string())?;
-        row("fault", "drops_injected", self.fault.drops_injected.to_string())?;
-        row("fault", "dups_injected", self.fault.dups_injected.to_string())?;
-        row("fault", "delays_injected", self.fault.delays_injected.to_string())?;
-        row("fault", "truncations_injected", self.fault.truncations_injected.to_string())?;
-        row("fault", "corruptions_injected", self.fault.corruptions_injected.to_string())?;
-        row("fault", "alloc_failures", self.fault.alloc_failures_injected.to_string())
+        writeln!(f, "layer     metric                   value")?;
+        writeln!(f, "--------- ------------------------ ------------")?;
+        let layers = [
+            ("fabric", self.fabric.rows()),
+            ("lamellae", self.lamellae.rows()),
+            ("executor", self.executor.rows()),
+            ("am", self.am.rows()),
+            ("fault", self.fault.rows()),
+        ];
+        for (layer, rows) in layers {
+            for (metric, value) in rows {
+                writeln!(f, "{layer:<9} {metric:<24} {value}")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1130,30 +630,47 @@ mod tests {
         assert_eq!(s.put_sizes.count(), 4000);
     }
 
-    #[test]
-    fn disabled_metrics_record_nothing() {
-        let f = FabricMetrics::new(false);
+    /// Every gated recorder of the four switchable registries, once each
+    /// (`record_put` and `record_pool_acquire` once per branch).
+    fn record_everything(
+        f: &FabricMetrics,
+        l: &LamellaeMetrics,
+        e: &ExecutorMetrics,
+        a: &AmMetrics,
+    ) {
         f.record_put(100, true);
+        f.record_put(1 << 12, false);
         f.record_get(100);
         f.record_barrier_round();
-        assert_eq!(f.snapshot(), FabricStats::default());
 
-        let l = LamellaeMetrics::new(false);
         l.record_send(64);
         l.record_recv(64);
         l.record_flush();
-        assert_eq!(l.snapshot(), LamellaeStats::default());
+        l.record_park();
+        l.record_retry();
+        l.record_pool_acquire(true);
+        l.record_pool_acquire(false);
+        l.record_pool_outstanding(3);
+        l.record_retransmit();
+        l.record_dup_chunk_dropped();
+        l.record_reordered_chunk_dropped();
+        l.record_corrupt_chunk_dropped();
+        l.record_delivery_failure();
 
-        let e = ExecutorMetrics::new(false, 2);
         e.record_spawn();
+        e.record_complete();
+        e.record_steal();
         e.record_queue_depth(0, 9);
-        let s = e.snapshot();
-        assert_eq!(s.spawned, 0);
-        assert_eq!(s.queue_depth_hwm, vec![0, 0]);
+        e.record_queue_depth(1, 4);
 
-        let a = AmMetrics::new(false);
         a.record_sent();
+        a.record_received();
+        a.record_local();
+        a.record_reply_sent();
+        a.record_reply_received();
         a.record_sub_batches(5);
+        a.record_darc_created();
+        a.record_darc_dropped();
         a.record_panic_caught();
         a.record_timeout();
         a.record_retry();
@@ -1163,7 +680,141 @@ mod tests {
         a.record_ack_received();
         a.record_inline_exec();
         a.record_spilled_exec();
+    }
+
+    #[test]
+    fn disabled_metrics_record_nothing() {
+        let (f, l, e, a) = (
+            FabricMetrics::new(false),
+            LamellaeMetrics::new(false),
+            ExecutorMetrics::new(false, 2),
+            AmMetrics::new(false),
+        );
+        record_everything(&f, &l, &e, &a);
+        assert_eq!(f.snapshot(), FabricStats::default());
+        assert_eq!(l.snapshot(), LamellaeStats::default());
+        assert_eq!(
+            e.snapshot(),
+            ExecutorStats { queue_depth_hwm: vec![0, 0], ..Default::default() }
+        );
         assert_eq!(a.snapshot(), AmStats::default());
+    }
+
+    #[test]
+    fn every_recorder_reaches_its_field_and_its_display_row() {
+        let (f, l, e, a) = (
+            FabricMetrics::new(true),
+            LamellaeMetrics::new(true),
+            ExecutorMetrics::new(true, 2),
+            AmMetrics::new(true),
+        );
+        let fault = FaultMetrics::new();
+        record_everything(&f, &l, &e, &a);
+        fault.record_drop();
+        fault.record_dup();
+        fault.record_delay();
+        fault.record_truncation();
+        fault.record_corruption();
+        fault.record_alloc_failure();
+        let s = RuntimeStats {
+            fabric: f.snapshot(),
+            lamellae: l.snapshot(),
+            executor: e.snapshot(),
+            am: a.snapshot(),
+            fault: fault.snapshot(),
+        };
+        assert_eq!(s.delta(&RuntimeStats::default()), s);
+
+        // Field names come from exhaustive destructuring (a missing or
+        // renamed field fails to compile), not from the generated rows.
+        macro_rules! fields {
+            ($ty:ident { $($f:ident),* $(,)? }) => {{
+                let $ty { $($f: _),* } = $ty::default();
+                [$(stringify!($f)),*]
+            }};
+        }
+        let layers: [(&str, &[&str]); 5] = [
+            (
+                "fabric",
+                &fields!(FabricStats {
+                    puts,
+                    gets,
+                    bytes_put,
+                    bytes_get,
+                    inject_puts,
+                    rendezvous_puts,
+                    barrier_rounds,
+                    put_sizes,
+                }),
+            ),
+            (
+                "lamellae",
+                &fields!(LamellaeStats {
+                    msgs_sent,
+                    msgs_received,
+                    bytes_sent,
+                    bytes_received,
+                    flushes,
+                    wire_parks,
+                    wire_retries,
+                    pool_hits,
+                    pool_misses,
+                    pool_hwm,
+                    retransmits,
+                    dup_chunks_dropped,
+                    reordered_chunks_dropped,
+                    corrupt_chunks_dropped,
+                    delivery_failures,
+                }),
+            ),
+            ("executor", &fields!(ExecutorStats { spawned, completed, stolen, queue_depth_hwm })),
+            (
+                "am",
+                &fields!(AmStats {
+                    sent,
+                    received,
+                    local,
+                    replies_sent,
+                    replies_received,
+                    batch_sub_batches,
+                    darcs_created,
+                    darcs_dropped,
+                    panics_caught,
+                    timeouts,
+                    retries,
+                    cancelled,
+                    stalls,
+                    unit_sent,
+                    acks_received,
+                    inline_execs,
+                    spilled_execs,
+                }),
+            ),
+            (
+                "fault",
+                &fields!(FaultStats {
+                    drops_injected,
+                    dups_injected,
+                    delays_injected,
+                    truncations_injected,
+                    corruptions_injected,
+                    alloc_failures_injected,
+                }),
+            ),
+        ];
+        let table = s.to_string();
+        for (layer, names) in layers {
+            for name in names {
+                let row = table
+                    .lines()
+                    .find(|row| row.split_whitespace().take(2).eq([layer, name]))
+                    .unwrap_or_else(|| panic!("no {layer} {name} row in:\n{table}"));
+                // Each recorder landed somewhere: no row reads zero or empty.
+                let value = row.split_whitespace().nth(2).unwrap();
+                assert!(value != "0" && value != "-", "{layer} {name} not recorded: {row}");
+            }
+        }
+        assert_eq!(table.lines().count(), 2 + 50, "one row per field:\n{table}");
     }
 
     #[test]
@@ -1260,7 +911,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_power_of_two() {
-        let h = SizeHistogram::new();
+        let h = SizeHistogram::default();
         h.record(0);
         h.record(1); // both land in bucket 0: [0,1]
         h.record(2); // bucket 1: (1,2]
@@ -1320,7 +971,7 @@ mod tests {
 
     #[test]
     fn max_gauge_keeps_maximum() {
-        let g = MaxGauge::new();
+        let g = MaxGauge::default();
         g.record(3);
         g.record(9);
         g.record(5);

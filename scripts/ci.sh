@@ -16,8 +16,11 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo build --release -p lamellar-bench (benches compile)"
+echo "==> cargo build --release -p lamellar-bench"
 cargo build --release -p lamellar-bench --bins
+
+echo "==> ablation_executor smoke (reads the executor counters from pool.stats())"
+cargo run --release -p lamellar-bench --bin ablation_executor -- --tasks 2000 --workers 2
 
 echo "==> cargo build --release perfbench (the performance ledger still compiles)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench

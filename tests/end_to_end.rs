@@ -110,3 +110,25 @@ fn failure_injection_progress_delay_does_not_break_delivery() {
     });
     assert_eq!(results.len(), 2);
 }
+
+#[test]
+fn fresh_array_after_drop_starts_zeroed() {
+    // A dropped array's symmetric block is reused by the next allocation of
+    // the same size; the new array must still start zero-initialized.
+    let sums = launch(2, |world| {
+        let old = AtomicArray::<usize>::new(&world, 64, Distribution::Block);
+        world.barrier();
+        world.block_on(old.batch_add((0..64).collect(), 1));
+        world.wait_all();
+        world.barrier();
+        drop(old);
+        world.wait_all();
+        world.barrier();
+        let fresh = AtomicArray::<usize>::new(&world, 64, Distribution::Block);
+        world.barrier();
+        let s = world.block_on(fresh.sum());
+        world.barrier();
+        s
+    });
+    assert_eq!(sums, vec![0, 0]);
+}
