@@ -35,6 +35,10 @@ crate::ops::impl_element_ops!(AtomicArray);
 impl<T: ArrayElem> AtomicArray<T> {
     /// Collectively construct a zero-initialized atomic array of `len`
     /// elements over `team`.
+    ///
+    /// Panics if one PE would hold more than 2^32 elements (4 Gi; batched
+    /// ops carry `u32` local offsets), far beyond the default 64 MiB
+    /// symmetric region.
     pub fn new(team: &impl IntoTeam, len: usize, dist: Distribution) -> Self {
         let team = team.to_team();
         let raw = RawArray::new(&team, len, dist, Access::Atomic, false);

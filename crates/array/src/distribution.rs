@@ -27,9 +27,19 @@ pub struct Layout {
 
 impl Layout {
     /// Build a layout; arrays of zero length are allowed (all maps empty).
+    ///
+    /// Batched ops carry local offsets as `u32` on the wire, so no rank may
+    /// own more than 2^32 elements (4 Gi per PE).
     pub fn new(glen: usize, num_ranks: usize, dist: Distribution) -> Self {
         assert!(num_ranks > 0, "layout needs at least one rank");
-        Layout { glen, num_ranks, dist }
+        let layout = Layout { glen, num_ranks, dist };
+        assert!(
+            layout.max_local_len() as u64 <= 1 << 32,
+            "{glen} elements over {num_ranks} ranks put {} on one rank; \
+             local offsets are u32, so at most 2^32 elements per rank",
+            layout.max_local_len()
+        );
+        layout
     }
 
     /// Elements per rank in the Block scheme (the chunk size).
@@ -54,9 +64,18 @@ impl Layout {
         }
     }
 
-    /// Owner and local offset in one call.
+    /// Owner and local offset in one call, with one division.
+    #[inline]
     pub fn locate(&self, i: usize) -> (usize, usize) {
-        (self.rank_of(i), self.local_of(i))
+        debug_assert!(i < self.glen, "index {i} out of bounds (len {})", self.glen);
+        match self.dist {
+            Distribution::Block => {
+                let block = self.block_size();
+                let rank = (i / block).min(self.num_ranks - 1);
+                (rank, i - rank * block)
+            }
+            Distribution::Cyclic => (i % self.num_ranks, i / self.num_ranks),
+        }
     }
 
     /// The global index of `(rank, local)`.
@@ -174,6 +193,34 @@ mod tests {
                 assert!(l.local_len(r) <= m);
             }
         }
+    }
+
+    #[test]
+    fn locate_matches_rank_of_and_local_of() {
+        for dist in [Distribution::Block, Distribution::Cyclic] {
+            for (glen, n) in [(12, 4), (13, 4), (10, 3), (0, 3), (1, 3), (1, 1), (7, 1)] {
+                let l = Layout::new(glen, n, dist);
+                for i in 0..glen {
+                    assert_eq!(
+                        l.locate(i),
+                        (l.rank_of(i), l.local_of(i)),
+                        "{dist:?} {glen}/{n} @ {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 elements per rank")]
+    fn layout_rejects_more_than_u32_offsets_per_rank() {
+        Layout::new(u32::MAX as usize + 2, 1, Distribution::Block);
+    }
+
+    #[test]
+    fn layout_accepts_exactly_u32_offsets_per_rank() {
+        let l = Layout::new(2 * (u32::MAX as usize + 1), 2, Distribution::Cyclic);
+        assert_eq!(l.max_local_len(), u32::MAX as usize + 1);
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn eval_pairs<T: ArrayElem, F: ItemFn<T>>(
     f: &F,
     pairs: &[(usize, usize)],
 ) -> Vec<F::Out> {
-    let locals: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
+    let locals: Vec<u32> = pairs.iter().map(|&(l, _)| l as u32).collect();
     // One access-mode-respecting batch read, then pure chain evaluation.
     let values = apply::apply_load(raw, &locals);
     pairs.iter().zip(values).filter_map(|(&(_, idx), v)| f.apply(idx, v)).collect()
@@ -409,7 +409,7 @@ where
     type Out = (I::Out, T2);
     fn apply(&self, index: usize, v: In) -> Option<(I::Out, T2)> {
         let a = self.inner.apply(index, v)?;
-        let b = apply::apply_load(&self.other, &[index])[0];
+        let b = apply::apply_load(&self.other, &[index as u32])[0];
         Some((a, b))
     }
 }

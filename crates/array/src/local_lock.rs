@@ -59,6 +59,10 @@ impl<T: ArrayElem> std::ops::DerefMut for LocalWriteGuard<'_, T> {
 impl<T: ArrayElem> LocalLockArray<T> {
     /// Collectively construct a zero-initialized array of `len` elements
     /// over `team`.
+    ///
+    /// Panics if one PE would hold more than 2^32 elements (4 Gi; batched
+    /// ops carry `u32` local offsets), far beyond the default 64 MiB
+    /// symmetric region.
     pub fn new(team: &impl IntoTeam, len: usize, dist: Distribution) -> Self {
         let team = team.to_team();
         let raw = RawArray::new(&team, len, dist, Access::LocalLock, false);

@@ -36,8 +36,9 @@ macro_rules! impl_am_codec {
 pub(crate) struct ArithBatchAm<T: ArrayElem> {
     pub raw: RawArray<T>,
     pub op: ArithOp,
-    /// Local offsets on the destination PE.
-    pub idxs: Vec<usize>,
+    /// Local offsets on the destination PE (`u32`: half the wire bytes of
+    /// `usize`, which keeps a 10 000-op sub-batch under the inline cap).
+    pub idxs: Vec<u32>,
     pub vals: BatchValues<T>,
     pub fetch: bool,
 }
@@ -56,7 +57,7 @@ impl<T: ArithElem> LamellarAm for ArithBatchAm<T> {
 pub(crate) struct BitBatchAm<T: ArrayElem> {
     pub raw: RawArray<T>,
     pub op: BitOp,
-    pub idxs: Vec<usize>,
+    pub idxs: Vec<u32>,
     pub vals: BatchValues<T>,
     pub fetch: bool,
 }
@@ -75,7 +76,7 @@ impl<T: BitElem> LamellarAm for BitBatchAm<T> {
 pub(crate) struct AccessBatchAm<T: ArrayElem> {
     pub raw: RawArray<T>,
     pub op: AccessOp,
-    pub idxs: Vec<usize>,
+    pub idxs: Vec<u32>,
     /// Absent for loads.
     pub vals: Option<BatchValues<T>>,
     pub fetch: bool,
@@ -101,7 +102,7 @@ impl<T: ArrayElem> LamellarAm for AccessBatchAm<T> {
 /// Batched compare-and-exchange; element-wise `(current, new)` pairs.
 pub(crate) struct CasBatchAm<T: ArrayElem> {
     pub raw: RawArray<T>,
-    pub idxs: Vec<usize>,
+    pub idxs: Vec<u32>,
     pub pairs: Vec<(T, T)>,
 }
 

@@ -5,7 +5,7 @@
 //! These functions run on the PE that *owns* the data — either directly
 //! (caller-local bin) or inside one of the internal AMs in
 //! [`crate::ops::am`]. Indices here are *local* offsets into the PE's
-//! block.
+//! block, as `u32` (the wire form; `Layout::new` caps a block at 2^32).
 
 use crate::elem::ArrayElem;
 use crate::inner::{Access, RawArray};
@@ -27,7 +27,7 @@ fn unlock_byte(b: &AtomicU8) {
 /// Returns the previous values when `fetch`.
 pub(crate) fn apply_rmw<T: ArrayElem>(
     raw: &RawArray<T>,
-    idxs: &[usize],
+    idxs: &[u32],
     vals: &BatchValues<T>,
     fetch: bool,
     f: impl Fn(T, T) -> T,
@@ -85,7 +85,7 @@ pub(crate) fn apply_rmw<T: ArrayElem>(
             let guard = raw.local_lock.as_ref().expect("local lock present");
             let _g = guard.write();
             for (i, &local) in idxs.iter().enumerate() {
-                let prev = one(local, vals.value_at(i));
+                let prev = one(local as usize, vals.value_at(i));
                 if fetch {
                     out.push(prev);
                 }
@@ -93,7 +93,7 @@ pub(crate) fn apply_rmw<T: ArrayElem>(
         }
         _ => {
             for (i, &local) in idxs.iter().enumerate() {
-                let prev = one(local, vals.value_at(i));
+                let prev = one(local as usize, vals.value_at(i));
                 if fetch {
                     out.push(prev);
                 }
@@ -104,7 +104,7 @@ pub(crate) fn apply_rmw<T: ArrayElem>(
 }
 
 /// Load each local index.
-pub(crate) fn apply_load<T: ArrayElem>(raw: &RawArray<T>, idxs: &[usize]) -> Vec<T> {
+pub(crate) fn apply_load<T: ArrayElem>(raw: &RawArray<T>, idxs: &[u32]) -> Vec<T> {
     let base = raw.local_base();
     let read_one = |local: usize| -> T {
         // SAFETY: as in apply_rmw.
@@ -130,9 +130,9 @@ pub(crate) fn apply_load<T: ArrayElem>(raw: &RawArray<T>, idxs: &[usize]) -> Vec
         Access::LocalLock => {
             let guard = raw.local_lock.as_ref().expect("local lock present");
             let _g = guard.read();
-            idxs.iter().map(|&l| read_one(l)).collect()
+            idxs.iter().map(|&l| read_one(l as usize)).collect()
         }
-        _ => idxs.iter().map(|&l| read_one(l)).collect(),
+        _ => idxs.iter().map(|&l| read_one(l as usize)).collect(),
     }
 }
 
@@ -140,7 +140,7 @@ pub(crate) fn apply_load<T: ArrayElem>(raw: &RawArray<T>, idxs: &[usize]) -> Vec
 /// if the slot equaled `cur`, else `Err(actual)`.
 pub(crate) fn apply_cas<T: ArrayElem>(
     raw: &RawArray<T>,
-    idxs: &[usize],
+    idxs: &[u32],
     pairs: &[(T, T)],
 ) -> Vec<Result<T, T>> {
     assert_eq!(idxs.len(), pairs.len());
@@ -191,9 +191,9 @@ pub(crate) fn apply_cas<T: ArrayElem>(
         Access::LocalLock => {
             let guard = raw.local_lock.as_ref().expect("local lock present");
             let _g = guard.write();
-            idxs.iter().zip(pairs).map(|(&l, (c, n))| cas_one(l, *c, *n)).collect()
+            idxs.iter().zip(pairs).map(|(&l, (c, n))| cas_one(l as usize, *c, *n)).collect()
         }
-        _ => idxs.iter().zip(pairs).map(|(&l, (c, n))| cas_one(l, *c, *n)).collect(),
+        _ => idxs.iter().zip(pairs).map(|(&l, (c, n))| cas_one(l as usize, *c, *n)).collect(),
     }
 }
 

@@ -66,31 +66,6 @@ handle_type!(
     /// Future of a batch compare-exchange; results in input order.
     BatchCasHandle, Vec<Result<T, T>>);
 
-/// Where each input position landed: destination rank and position within
-/// that rank's (concatenated) result stream.
-struct Plan {
-    /// Per-rank local indices, in arrival order.
-    bins: Vec<Vec<usize>>,
-    /// Per-rank input positions (for slicing `Many` values).
-    input_pos: Vec<Vec<usize>>,
-    /// `(rank, pos)` for every input position.
-    positions: Vec<(u32, u32)>,
-}
-
-fn plan<T: ArrayElem>(raw: &RawArray<T>, indices: &[usize]) -> Plan {
-    let n_ranks = raw.layout.num_ranks;
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-    let mut input_pos: Vec<Vec<usize>> = vec![Vec::new(); n_ranks];
-    let mut positions = Vec::with_capacity(indices.len());
-    for (i, &g) in indices.iter().enumerate() {
-        let (rank, local) = raw.locate(g);
-        positions.push((rank as u32, bins[rank].len() as u32));
-        bins[rank].push(local);
-        input_pos[rank].push(i);
-    }
-    Plan { bins, input_pos, positions }
-}
-
 /// Slice values for one sub-batch out of the full `BatchValues`.
 fn chunk_values<T: ArrayElem>(values: &BatchValues<T>, pos: &[usize]) -> BatchValues<T> {
     match values {
@@ -99,63 +74,97 @@ fn chunk_values<T: ArrayElem>(values: &BatchValues<T>, pos: &[usize]) -> BatchVa
     }
 }
 
-/// Generic fan-out: bin by rank, sub-batch, launch one AM per sub-batch,
-/// and reassemble results in input order.
+/// The single-pass binner behind every batch op (Chapel's
+/// `CopyAggregator` pattern): one `u32` offset bin per destination rank,
+/// filled in input order and handed to `emit(rank, offsets, positions)`
+/// (moved, not copied) the moment it holds `limit` entries, so sends
+/// overlap binning; partial bins are emitted at the end, in rank order.
+/// `positions` are the bin's input positions when `keep_pos` (per-element
+/// values), else empty. `ranks`, when given, receives each input's rank in
+/// input order for result reassembly. Bounds are checked for the whole
+/// batch before anything is emitted, so a bad index sends nothing.
+fn bin_stream<T: ArrayElem>(
+    raw: &RawArray<T>,
+    indices: &[usize],
+    limit: usize,
+    keep_pos: bool,
+    mut ranks: Option<&mut Vec<u32>>,
+    mut emit: impl FnMut(usize, Vec<u32>, &[usize]),
+) {
+    if let Some(&max) = indices.iter().max() {
+        assert!(max < raw.len(), "index {max} out of bounds (len {})", raw.len());
+    }
+    let limit = limit.max(1);
+    let (layout, offset) = (raw.layout, raw.view_offset);
+    let mut bins: Vec<Vec<u32>> = vec![Vec::new(); layout.num_ranks];
+    let mut pos: Vec<Vec<usize>> = vec![Vec::new(); layout.num_ranks];
+    let mut sub_batches = 0u64;
+    for (i, &g) in indices.iter().enumerate() {
+        let (rank, local) = layout.locate(g + offset);
+        if let Some(ranks) = ranks.as_deref_mut() {
+            ranks.push(rank as u32);
+        }
+        let bin = &mut bins[rank];
+        if bin.capacity() == 0 {
+            // A full bin's worth, or this rank's even share of what is left.
+            bin.reserve_exact(limit.min((indices.len() - i).div_ceil(layout.num_ranks)));
+        }
+        bin.push(local as u32); // lossless: `Layout::new` caps a rank at 2^32
+        if keep_pos {
+            pos[rank].push(i);
+        }
+        if bin.len() == limit {
+            emit(rank, std::mem::take(bin), &pos[rank]);
+            pos[rank].clear();
+            sub_batches += 1;
+        }
+    }
+    for (rank, bin) in bins.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+        emit(rank, bin, &pos[rank]);
+        sub_batches += 1;
+    }
+    raw.region.rt().am_metrics().record_sub_batches(sub_batches);
+}
+
+/// Tracked fan-out: one AM per sub-batch through `exec_am_pe`, results
+/// reassembled in input order when `fetch`.
 fn launch<T, R, A>(
     raw: &RawArray<T>,
     indices: Vec<usize>,
     limit: usize,
     fetch: bool,
-    make: impl Fn(Vec<usize>, &[usize]) -> A,
+    keep_pos: bool,
+    make: impl Fn(Vec<u32>, &[usize]) -> A,
 ) -> BoxFut<Vec<R>>
 where
     T: ArrayElem,
     R: Send + 'static,
     A: LamellarAm<Output = Vec<R>>,
 {
-    let limit = limit.max(1);
-    let Plan { bins, input_pos, positions } = plan(raw, &indices);
-    let rt = raw.region.rt().clone();
+    let rt = raw.region.rt();
     // One handle list per rank, each holding that rank's sub-batches in
     // order so concatenation preserves per-rank positions.
-    let mut handles: Vec<Vec<AmHandle<Vec<R>>>> = Vec::with_capacity(bins.len());
-    let mut sub_batches = 0u64;
-    for (rank, (bin, pos)) in bins.into_iter().zip(&input_pos).enumerate() {
-        let mut rank_handles = Vec::new();
-        if !bin.is_empty() {
-            let pe = raw.pe_of_rank(rank);
-            let mut start = 0;
-            while start < bin.len() {
-                let end = (start + limit).min(bin.len());
-                let am = make(bin[start..end].to_vec(), &pos[start..end]);
-                rank_handles.push(rt.exec_am_pe(pe, am));
-                sub_batches += 1;
-                start = end;
-            }
-        }
-        handles.push(rank_handles);
-    }
-    rt.am_metrics().record_sub_batches(sub_batches);
+    let mut handles: Vec<Vec<AmHandle<Vec<R>>>> =
+        (0..raw.layout.num_ranks).map(|_| Vec::new()).collect();
+    let mut ranks = Vec::with_capacity(if fetch { indices.len() } else { 0 });
+    bin_stream(raw, &indices, limit, keep_pos, fetch.then_some(&mut ranks), |rank, idxs, pos| {
+        handles[rank].push(rt.exec_am_pe(raw.pe_of_rank(rank), make(idxs, pos)));
+    });
     Box::pin(async move {
-        let mut per_rank: Vec<Vec<R>> = Vec::with_capacity(handles.len());
+        let mut per_rank: Vec<std::vec::IntoIter<R>> = Vec::with_capacity(handles.len());
         for rank_handles in handles {
             let mut results = Vec::new();
             for h in rank_handles {
                 results.extend(h.await);
             }
-            per_rank.push(results);
+            per_rank.push(results.into_iter());
         }
-        if !fetch {
-            return Vec::new();
-        }
-        let mut iters: Vec<std::vec::IntoIter<R>> =
-            per_rank.into_iter().map(|v| v.into_iter()).collect();
         // Results within a rank come back in submission order, so walking
-        // the recorded positions in input order drains each rank's stream
-        // in order.
-        positions
+        // the recorded ranks in input order drains each rank's stream in
+        // order.
+        ranks
             .into_iter()
-            .map(|(rank, _pos)| iters[rank as usize].next().expect("result per input"))
+            .map(|rank| per_rank[rank as usize].next().expect("result per input"))
             .collect()
     })
 }
@@ -165,34 +174,17 @@ where
 /// sub-batch ships through the unit-AM path (reply elision + counted acks,
 /// DESIGN.md §4d), so there are no handles, no per-sub-batch `Reply`
 /// envelopes, and nothing to reassemble.
-fn launch_unit<T, R, A>(
+fn launch_unit<T: ArrayElem, A: LamellarAm>(
     raw: &RawArray<T>,
     indices: Vec<usize>,
     limit: usize,
-    make: impl Fn(Vec<usize>, &[usize]) -> A,
-) where
-    T: ArrayElem,
-    R: Send + 'static,
-    A: LamellarAm<Output = Vec<R>>,
-{
-    let limit = limit.max(1);
-    let Plan { bins, input_pos, .. } = plan(raw, &indices);
-    let rt = raw.region.rt().clone();
-    let mut sub_batches = 0u64;
-    for (rank, (bin, pos)) in bins.into_iter().zip(&input_pos).enumerate() {
-        if bin.is_empty() {
-            continue;
-        }
-        let pe = raw.pe_of_rank(rank);
-        let mut start = 0;
-        while start < bin.len() {
-            let end = (start + limit).min(bin.len());
-            rt.exec_unit_am_pe(pe, UnitAm(make(bin[start..end].to_vec(), &pos[start..end])));
-            sub_batches += 1;
-            start = end;
-        }
-    }
-    rt.am_metrics().record_sub_batches(sub_batches);
+    keep_pos: bool,
+    make: impl Fn(Vec<u32>, &[usize]) -> A,
+) {
+    let rt = raw.region.rt();
+    bin_stream(raw, &indices, limit, keep_pos, None, |rank, idxs, pos| {
+        rt.exec_unit_am_pe(raw.pe_of_rank(rank), UnitAm(make(idxs, pos)));
+    });
 }
 
 /// Fire-and-forget batched arithmetic op (completion via `wait_all`).
@@ -204,8 +196,9 @@ pub(crate) fn batch_arith_unit<T: ArithElem>(
     values: BatchValues<T>,
 ) {
     let (indices, values) = crate::ops::normalize_batch(indices, values);
+    let many = values.explicit_len().is_some();
     let raw2 = raw.clone();
-    launch_unit(raw, indices, limit, move |idxs, pos| ArithBatchAm {
+    launch_unit(raw, indices, limit, many, move |idxs, pos| ArithBatchAm {
         raw: raw2.clone(),
         op,
         idxs,
@@ -223,8 +216,9 @@ pub(crate) fn batch_bit_unit<T: BitElem>(
     values: BatchValues<T>,
 ) {
     let (indices, values) = crate::ops::normalize_batch(indices, values);
+    let many = values.explicit_len().is_some();
     let raw2 = raw.clone();
-    launch_unit(raw, indices, limit, move |idxs, pos| BitBatchAm {
+    launch_unit(raw, indices, limit, many, move |idxs, pos| BitBatchAm {
         raw: raw2.clone(),
         op,
         idxs,
@@ -241,8 +235,9 @@ pub(crate) fn batch_store_unit<T: ArrayElem>(
     values: BatchValues<T>,
 ) {
     let (indices, values) = crate::ops::normalize_batch(indices, values);
+    let many = values.explicit_len().is_some();
     let raw2 = raw.clone();
-    launch_unit(raw, indices, limit, move |idxs, pos| AccessBatchAm {
+    launch_unit(raw, indices, limit, many, move |idxs, pos| AccessBatchAm {
         raw: raw2.clone(),
         op: AccessOp::Store,
         idxs,
@@ -261,8 +256,9 @@ pub(crate) fn batch_arith<T: ArithElem>(
     fetch: bool,
 ) -> BatchFetchHandle<T> {
     let (indices, values) = crate::ops::normalize_batch(indices, values);
+    let many = values.explicit_len().is_some();
     let raw2 = raw.clone();
-    let fut = launch(raw, indices, limit, fetch, move |idxs, pos| ArithBatchAm {
+    let fut = launch(raw, indices, limit, fetch, many, move |idxs, pos| ArithBatchAm {
         raw: raw2.clone(),
         op,
         idxs,
@@ -282,8 +278,9 @@ pub(crate) fn batch_bit<T: BitElem>(
     fetch: bool,
 ) -> BatchFetchHandle<T> {
     let (indices, values) = crate::ops::normalize_batch(indices, values);
+    let many = values.explicit_len().is_some();
     let raw2 = raw.clone();
-    let fut = launch(raw, indices, limit, fetch, move |idxs, pos| BitBatchAm {
+    let fut = launch(raw, indices, limit, fetch, many, move |idxs, pos| BitBatchAm {
         raw: raw2.clone(),
         op,
         idxs,
@@ -310,8 +307,9 @@ pub(crate) fn batch_access<T: ArrayElem>(
         None => (indices, None),
     };
     let want_results = fetch || op == AccessOp::Load || op == AccessOp::Swap;
+    let many = matches!(values, Some(BatchValues::Many(_)));
     let raw2 = raw.clone();
-    let fut = launch(raw, indices, limit, want_results, move |idxs, pos| AccessBatchAm {
+    let fut = launch(raw, indices, limit, want_results, many, move |idxs, pos| AccessBatchAm {
         raw: raw2.clone(),
         op,
         idxs,
@@ -331,7 +329,7 @@ pub(crate) fn batch_cas<T: ArrayElem>(
 ) -> BatchCasHandle<T> {
     let (indices, new) = crate::ops::normalize_batch(indices, new);
     let raw2 = raw.clone();
-    let fut = launch(raw, indices, limit, true, move |idxs, pos| {
+    let fut = launch(raw, indices, limit, true, true, move |idxs, pos| {
         let pairs = pos.iter().map(|&i| (current.value_at(i), new.value_at(i))).collect::<Vec<_>>();
         CasBatchAm { raw: raw2.clone(), idxs, pairs }
     });

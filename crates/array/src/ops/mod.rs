@@ -165,8 +165,8 @@ pub(crate) fn normalize_batch<T: ArrayElem>(
 ) -> (Vec<usize>, BatchValues<T>) {
     if let Some(n) = values.explicit_len() {
         if indices.len() == 1 && n != 1 {
-            // One Index - Many values: apply each value in order at the
-            // same element.
+            // One Index - Many values: apply each value at the same
+            // element (in order within each sub-batch).
             indices = vec![indices[0]; n];
         } else {
             assert_eq!(
@@ -519,7 +519,10 @@ macro_rules! impl_array_common {
             }
 
             /// Set the sub-batch limit for batched operations (paper
-            /// default: 10,000 ops per buffer).
+            /// default: 10,000 ops per buffer). Results always come back in
+            /// input order, but the sub-batches one batch sends a PE may be
+            /// applied concurrently: a repeated index split across them is
+            /// updated in no fixed order.
             pub fn set_batch_limit(&mut self, limit: usize) {
                 self.batch_limit = limit.max(1);
             }

@@ -27,6 +27,10 @@ crate::ops::impl_array_common!(ReadOnlyArray);
 impl<T: ArrayElem> ReadOnlyArray<T> {
     /// Collectively construct a zero-initialized read-only array. (More
     /// commonly obtained by filling an [`UnsafeArray`] and converting.)
+    ///
+    /// Panics if one PE would hold more than 2^32 elements (4 Gi; batched
+    /// ops carry `u32` local offsets), far beyond the default 64 MiB
+    /// symmetric region.
     pub fn new(team: &impl IntoTeam, len: usize, dist: Distribution) -> Self {
         UnsafeArray::new(team, len, dist).into_read_only()
     }

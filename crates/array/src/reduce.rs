@@ -75,7 +75,7 @@ impl<T: ArithElem> LamellarAm for ReduceAm<T> {
     type Output = Option<T>;
     async fn exec(self, _ctx: AmContext) -> Option<T> {
         let rank = self.raw.my_rank();
-        let locals: Vec<usize> = self.raw.local_view_indices(rank).map(|(l, _)| l).collect();
+        let locals: Vec<u32> = self.raw.local_view_indices(rank).map(|(l, _)| l as u32).collect();
         // Access-mode-respecting snapshot, then a pure fold.
         let vals = apply::apply_load(&self.raw, &locals);
         vals.into_iter().reduce(|a, b| self.op.combine(a, b))

@@ -97,6 +97,25 @@ fn out_of_bounds_single_op_panics() {
 }
 
 #[test]
+fn out_of_bounds_batch_sends_nothing() {
+    // With one op per sub-batch, the in-bounds indices ahead of the bad one
+    // would each ship as their own AM if the bounds check ran per index.
+    launch(1, |world| {
+        let len = 4;
+        let mut arr = AtomicArray::<u64>::new(&world, len, Distribution::Block);
+        arr.set_batch_limit(1);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            arr.batch_add_ff(vec![0, 1, len], 1u64);
+        }));
+        let msg = res.expect_err("an out-of-bounds batch must panic");
+        let msg = msg.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(msg.contains("out of bounds"), "unexpected panic message: {msg}");
+        world.wait_all();
+        assert_eq!(world.block_on(arr.get(0, len)), vec![0; len], "batch partly applied");
+    });
+}
+
+#[test]
 fn conversion_waits_for_extra_handles() {
     // A clone held elsewhere delays conversion until dropped — the paper's
     // "only succeeds when there is precisely one reference on each PE".

@@ -22,16 +22,20 @@ cargo build --release -p lamellar-bench --bins
 echo "==> ablation_executor smoke (reads the executor counters from pool.stats())"
 cargo run --release -p lamellar-bench --bin ablation_executor -- --tasks 2000 --workers 2
 
+echo "==> ablation_batch_size smoke (the 50 000 limit ships 200 KB sub-batches through the large-payload fallback)"
+cargo run --release -p lamellar-bench --bin ablation_batch_size -- --pes 2 --scale 200
+
 echo "==> cargo build --release perfbench (the performance ledger still compiles)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> cargo test -q (hard ${TEST_TIMEOUT}s timeout)"
 timeout --signal=KILL "$TEST_TIMEOUT" cargo test -q --workspace
 
-echo "==> perf smoke: unit-AM histogram gate (aggregation factor, zero replies)"
+echo "==> perf smoke: unit-AM histogram gate (aggregation factor, zero replies) + array batch inline gate (no spills, zero replies)"
 # Deterministic counts, not timings: a tiny 4-PE unit-AM histogram must show
-# zero reply envelopes and a healthy envelopes-per-chunk aggregation factor.
-cargo test -q --release --test perf_smoke
+# zero reply envelopes and a healthy envelopes-per-chunk aggregation factor,
+# and a 2-PE batch_add_ff histogram must run every served sub-batch inline.
+cargo test -q --release --test perf_smoke --test perf_smoke_array
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
