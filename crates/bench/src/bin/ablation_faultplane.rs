@@ -68,7 +68,8 @@ fn run(h: &Harness, msgs: usize, payload: &[u8]) -> (f64, u64, u64) {
             proto::frame_request_with(buf, 1, seq as u64, 0, payload.len(), |b| {
                 b.extend_from_slice(payload)
             });
-        });
+        })
+        .expect("payload fits a wire chunk");
         if seq % 32 == 31 {
             h.q0.flush();
             h.q1.progress(&mut |_, chunk| delivered += proto::deframe_raw(chunk).count());

@@ -14,7 +14,9 @@ pub enum Backend {
     /// allocates shared memory segments" (Sec. III-A.2).
     Shmem,
     /// Single-process, single-PE: no data transfer, no (de)serialization
-    /// (Sec. III-A.3). Only valid for 1-PE worlds.
+    /// (Sec. III-A.3). Only valid for 1-PE worlds. Served by the same fabric
+    /// Lamellae over a 1-PE fabric; the runtime runs every PE-local AM
+    /// without serializing it.
     Smp,
 }
 
@@ -55,17 +57,10 @@ pub struct WorldConfig {
     /// into reliable-delivery mode (sequence numbers, acks, retransmits).
     /// `None` (the default) runs the loss-free fast path with zero
     /// overhead. The plane is armed only after world bootstrap, so runtime
-    /// construction itself is never faulted.
+    /// construction itself is never faulted. The reliable layer's
+    /// retransmit timeout is set on the plane's config
+    /// ([`FaultConfig::retransmit_timeout`]).
     pub fault: Option<FaultConfig>,
-    /// Reliable-delivery retransmit timeout (only meaningful when `fault`
-    /// is set): how long the oldest unacked wire chunk may wait before a
-    /// go-back-N round fires. The default
-    /// ([`crate::lamellae::queue::RETRANSMIT_TIMEOUT`], 1 ms) recovers
-    /// fast; raise it when seeded-counter reproducibility must survive OS
-    /// scheduling stalls (a stall longer than the timeout fires a spurious
-    /// retransmit, which bumps attempt numbers and thus re-rolls fault
-    /// verdicts).
-    pub retransmit_timeout: Duration,
     /// Default per-attempt response deadline applied to every *remote* AM
     /// launched through `exec_am_pe` (per-call
     /// [`AmOpts`](crate::am::AmOpts) overrides it). `None` (the default)
@@ -195,7 +190,6 @@ impl WorldConfig {
             heap_len: 32 << 20,
             metrics,
             fault: None,
-            retransmit_timeout: crate::lamellae::queue::RETRANSMIT_TIMEOUT,
             am_deadline: None,
             watchdog: None,
         }
@@ -211,15 +205,17 @@ impl WorldConfig {
         const WATCHDOG_MIN: Duration = Duration::from_millis(1);
         const WATCHDOG_MAX: Duration = Duration::from_secs(600);
 
-        if self.retransmit_timeout.is_zero() {
-            return Err(ConfigError::ZeroDuration { field: "retransmit_timeout" });
-        }
-        if self.retransmit_timeout > RETRANSMIT_MAX {
-            return Err(ConfigError::TooLong {
-                field: "retransmit_timeout",
-                value: self.retransmit_timeout,
-                max: RETRANSMIT_MAX,
-            });
+        if let Some(retransmit) = self.fault.as_ref().map(|f| f.retransmit_timeout) {
+            if retransmit.is_zero() {
+                return Err(ConfigError::ZeroDuration { field: "fault.retransmit_timeout" });
+            }
+            if retransmit > RETRANSMIT_MAX {
+                return Err(ConfigError::TooLong {
+                    field: "fault.retransmit_timeout",
+                    value: retransmit,
+                    max: RETRANSMIT_MAX,
+                });
+            }
         }
         if let Some(d) = self.am_deadline {
             if d.is_zero() {
@@ -321,18 +317,10 @@ impl WorldConfig {
     }
 
     /// Attach a fault-injection plane (and thereby enable reliable
-    /// delivery). Only meaningful on the Rofi/Shmem backends — the SMP
-    /// loopback has no wire to fault.
+    /// delivery). Only meaningful on multi-PE worlds — loopback traffic is
+    /// never faulted.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
         self.fault = Some(cfg);
-        self
-    }
-
-    /// Set the reliable-delivery retransmit timeout (see the field doc for
-    /// the latency/determinism trade-off). Only meaningful together with
-    /// [`WorldConfig::faults`].
-    pub fn retransmit_timeout(mut self, t: Duration) -> Self {
-        self.retransmit_timeout = t;
         self
     }
 
@@ -375,17 +363,20 @@ mod tests {
 
     #[test]
     fn zero_retransmit_timeout_rejected() {
-        let err = WorldConfig::new(2).retransmit_timeout(Duration::ZERO).try_resolve().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroDuration { field: "retransmit_timeout" });
+        let err = WorldConfig::new(2)
+            .faults(FaultConfig::seeded(1).retransmit_timeout(Duration::ZERO))
+            .try_resolve()
+            .unwrap_err();
+        assert_eq!(err, ConfigError::ZeroDuration { field: "fault.retransmit_timeout" });
     }
 
     #[test]
     fn absurd_retransmit_timeout_rejected() {
         let err = WorldConfig::new(2)
-            .retransmit_timeout(Duration::from_secs(3600))
+            .faults(FaultConfig::seeded(1).retransmit_timeout(Duration::from_secs(3600)))
             .try_resolve()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::TooLong { field: "retransmit_timeout", .. }));
+        assert!(matches!(err, ConfigError::TooLong { field: "fault.retransmit_timeout", .. }));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The fabric-backed Lamellae: `Rofi` (with network cost model) and
-//! `Shmem` (without) share this implementation.
+//! The fabric-backed Lamellae: `Rofi` (with network cost model), `Shmem`
+//! (without) and `Smp` (one PE, without) share this implementation.
 //!
 //! The paper's Shmem lamellae "implements all the same internal data
 //! structures as the ROFI Lamellae. The key difference is that instead of
@@ -25,33 +25,17 @@ pub struct FabricLamellae {
 impl FabricLamellae {
     /// Wrap a fabric endpoint. `queue_base` is the symmetric offset of the
     /// pre-allocated queue block (see
-    /// [`queue_footprint`](crate::lamellae::queue::queue_footprint));
-    /// `metrics` toggles the observability counters (threaded down from
-    /// `WorldConfig::metrics`).
+    /// [`queue_footprint`](crate::lamellae::queue::queue_footprint)). The
+    /// metrics switch and any fault plane come from the endpoint's fabric.
     pub fn new(
         ep: FabricPe,
         backend: Backend,
         queue_base: usize,
         buffer_size: usize,
         agg_threshold: usize,
-        metrics: bool,
     ) -> Self {
-        let queues = QueueTransport::with_metrics(
-            ep.clone(),
-            queue_base,
-            buffer_size,
-            agg_threshold,
-            metrics,
-        );
+        let queues = QueueTransport::new(ep.clone(), queue_base, buffer_size, agg_threshold);
         FabricLamellae { ep, queues, backend }
-    }
-
-    /// Override the reliable-delivery retransmit timeout (builder-style;
-    /// threaded down from `WorldConfig::retransmit_timeout`). No effect
-    /// without an armed fault plane.
-    pub fn with_retransmit_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.queues = self.queues.with_retransmit_timeout(timeout);
-        self
     }
 
     /// The underlying fabric endpoint (used by memregions for atomics).
@@ -79,7 +63,7 @@ impl Lamellae for FabricLamellae {
         len: usize,
         fill: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<(), CommError> {
-        self.queues.try_send_with(dst, len, fill)
+        self.queues.send_with(dst, len, fill)
     }
 
     fn flush(&self) {
@@ -187,5 +171,42 @@ impl std::fmt::Debug for FabricLamellae {
             .field("pe", &self.my_pe())
             .field("num_pes", &self.num_pes())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lamellae::queue::queue_footprint;
+    use rofi_sim::fabric::{Fabric, FabricConfig};
+    use rofi_sim::NetConfig;
+
+    #[test]
+    fn smp_memory_ops_are_local() {
+        let mut eps = Fabric::launch(FabricConfig {
+            num_pes: 1,
+            sym_len: 1 << 16,
+            heap_len: 1 << 14,
+            net: NetConfig::disabled(),
+            metrics: true,
+            fault: None,
+        });
+        let ep = eps.pop().unwrap();
+        let base = ep.fabric().alloc_symmetric(queue_footprint(1, 4096), 64).unwrap();
+        let lam = FabricLamellae::new(ep, Backend::Smp, base, 4096, 1024);
+        let off = lam.alloc_heap(64, 8).unwrap();
+        // SAFETY: single PE, single thread.
+        unsafe {
+            lam.put(0, off, &[9, 8, 7]);
+            let mut out = [0u8; 3];
+            lam.get(0, off, &mut out);
+            assert_eq!(out, [9, 8, 7]);
+        }
+        lam.free_heap(0, off);
+        let s = lam.alloc_symmetric(128, 8).unwrap();
+        lam.free_symmetric(s);
+        // Barrier is a no-op with one PE.
+        lam.barrier_with(&mut || {});
+        assert_eq!(lam.backend(), Backend::Smp);
     }
 }

@@ -7,25 +7,27 @@
 //! world; and (de)allocating Memory Regions. The Trait defines the functions
 //! for performing remote put/get transfers, and synchronization primitives."
 //!
-//! Three implementors mirror the paper's:
+//! One implementor, [`FabricLamellae`], serves all three of the paper's
+//! backends:
 //!
-//! | paper            | here                                   |
-//! |------------------|----------------------------------------|
-//! | `ROFI_Lamellae`  | [`FabricLamellae`] with the cost model |
-//! | `Shmem` Lamellae | [`FabricLamellae`] without the model   |
-//! | `SMP` Lamellae   | [`SmpLamellae`] (1 PE, loopback)       |
+//! | paper            | here                                        |
+//! |------------------|---------------------------------------------|
+//! | `ROFI_Lamellae`  | [`FabricLamellae`] with the cost model      |
+//! | `Shmem` Lamellae | [`FabricLamellae`] without the model        |
+//! | `SMP` Lamellae   | [`FabricLamellae`] over a 1-PE fabric       |
 //!
 //! The Shmem lamellae deliberately "implements all the same internal data
 //! structures as the ROFI Lamellae" — in this reproduction they literally
 //! share the implementation, differing only in whether transfers are charged
-//! network costs.
+//! network costs. The SMP lamellae needs "no (de)serialization" because its
+//! one PE never messages another: the runtime already runs PE-local AMs
+//! without serializing them, so its queues sit idle.
 
 pub mod fabric_backend;
 pub mod queue;
-pub mod smp;
+pub(crate) mod reliable;
 
 pub use fabric_backend::FabricLamellae;
-pub use smp::SmpLamellae;
 
 use crate::config::Backend;
 use lamellar_metrics::{FabricStats, FaultStats, LamellaeStats};
@@ -83,7 +85,7 @@ impl std::error::Error for CommError {}
 /// Reliable-delivery window state for one destination PE — the per-pair
 /// diagnostic the liveness watchdog dumps when a wait stalls. All fields
 /// are a point-in-time sample; on the loss-free fast path (no fault plane)
-/// the sequence fields stay at their construction values.
+/// the sequence fields stay at a fresh reliable link's values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairLiveness {
     /// Destination PE this entry describes.
@@ -98,8 +100,8 @@ pub struct PairLiveness {
     pub oldest_unacked_seq: Option<u64>,
     /// Next sequence number this PE will stamp toward `dst`.
     pub next_seq: u64,
-    /// Consecutive ack-free retransmit rounds (fatal at the transport's
-    /// retry-round limit).
+    /// Consecutive ack-free retransmit rounds (fatal at the reliable
+    /// link's `MAX_RETRY_ROUNDS`).
     pub stalled_rounds: u32,
     /// The pair has been declared dead (retries exhausted).
     pub dead: bool,
@@ -223,51 +225,35 @@ pub trait Lamellae: Send + Sync + 'static {
     fn oob_remove(&self, tag: u64);
 
     /// Failure injection (tests): stall every progress tick by `ns`
-    /// nanoseconds. Default no-op for backends without the hook.
-    fn inject_progress_delay(&self, _ns: u64) {}
+    /// nanoseconds.
+    fn inject_progress_delay(&self, ns: u64);
 
     /// Bytes currently allocated in this PE's one-sided heap — zero once
     /// every LargeRequest/FreeHeap staging handshake has completed.
-    /// Backends without heap accounting return 0.
-    fn heap_in_use(&self) -> usize {
-        0
-    }
+    fn heap_in_use(&self) -> usize;
 
     /// Typed snapshot of the fabric-layer counters (puts/gets, bytes,
     /// inject vs. rendezvous split, barrier rounds). Fabric counters are
-    /// fabric-global: they include every PE's transfers. Backends without a
-    /// fabric (SMP loopback) return zeros.
-    fn fabric_stats(&self) -> FabricStats {
-        FabricStats::default()
-    }
+    /// fabric-global: they include every PE's transfers.
+    fn fabric_stats(&self) -> FabricStats;
 
     /// Typed snapshot of this PE's lamellae-layer counters (messages,
     /// serialized bytes, aggregation-buffer flushes, wire park/retry
-    /// counts). Backends without wire queues return zeros.
-    fn lamellae_stats(&self) -> LamellaeStats {
-        LamellaeStats::default()
-    }
+    /// counts).
+    fn lamellae_stats(&self) -> LamellaeStats;
 
     /// Drain the list of destination PEs newly declared unreachable by the
     /// reliable-delivery layer (each PE is reported exactly once). The
     /// runtime polls this from its progress tick to fail pending AM
-    /// futures. Backends without delivery tracking return an empty list.
-    fn take_comm_failures(&self) -> Vec<usize> {
-        Vec::new()
-    }
+    /// futures.
+    fn take_comm_failures(&self) -> Vec<usize>;
 
     /// Typed snapshot of the fault-injection counters (what the injector
-    /// did to the traffic). All-zero when no fault plane is armed or the
-    /// backend has none.
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
-    }
+    /// did to the traffic). All-zero when no fault plane is armed.
+    fn fault_stats(&self) -> FaultStats;
 
     /// Per-destination delivery-window diagnostics (queued/unacked chunk
     /// counts, stuck sequence numbers, dead pairs) — consumed by the
-    /// liveness watchdog's stall dump. Backends without per-pair queues
-    /// (SMP loopback) return an empty list.
-    fn pair_liveness(&self) -> Vec<PairLiveness> {
-        Vec::new()
-    }
+    /// liveness watchdog's stall dump.
+    fn pair_liveness(&self) -> Vec<PairLiveness>;
 }

@@ -40,7 +40,7 @@
 //!
 //! **No call here ever blocks on the wire.** When both buffers toward a
 //! destination are in flight, ready chunks park in a local queue and are
-//! retried on the next `send`/`flush`/`progress` call. Blocking instead
+//! retried on the next `send_with`/`flush`/`progress` call. Blocking instead
 //! would deadlock two peers whose progress engines are each stuck flushing
 //! toward the other; with parking, every `progress` tick both drains
 //! incoming traffic (freeing the peer's buffers) and retries parked chunks.
@@ -48,31 +48,23 @@
 //! ## Reliable delivery (fault-plane worlds)
 //!
 //! When the fabric carries a [`FaultPlane`], chunk deliveries can be
-//! dropped, duplicated, delayed, truncated, or bit-flipped, so the
-//! transport switches to a go-back-N reliable layer (DESIGN.md §4b):
-//!
-//! * every sealed chunk gets a [`CHUNK_HDR_LEN`]-byte header — per-pair
-//!   sequence number + checksum over header and payload;
-//! * sent chunks are retained (pool release deferred) until the receiver's
-//!   cumulative ack — an atomic word per peer in the symmetric block,
-//!   written back into the *sender's* arena — covers them;
-//! * the receiver delivers only the exact next sequence number, suppresses
-//!   duplicates, discards gapped or corrupt chunks, and re-acks;
-//! * an unacked chunk older than [`RETRANSMIT_TIMEOUT`] triggers go-back-N
-//!   retransmission of everything outstanding; after [`MAX_RETRY_ROUNDS`]
-//!   consecutive rounds without progress the destination is declared dead,
-//!   queued traffic is discarded, and the failure surfaces through
-//!   [`QueueTransport::take_comm_failures`] /
-//!   [`CommError::PeerUnreachable`].
-//!
-//! Acks, like barriers and the out-of-band channel, are control plane and
-//! never faulted. Without a fault plane none of this machinery runs: no
-//! header bytes, no ack writes, byte-identical wire traffic to PR 2.
+//! dropped, duplicated, delayed, truncated, or bit-flipped, so every peer
+//! gets a go-back-N `ReliableLink` (DESIGN.md §4b). The link decides:
+//! sequence numbers, the unacked window, cumulative acks, the retransmit
+//! timer and pair death. This module does the I/O: a [`CHUNK_HDR_LEN`]-byte
+//! header reserved in every chunk, pool buffers held until acked, the fault
+//! plane's verdict applied at each wire push, and the cumulative-ack word per
+//! peer in the symmetric block, written back into the *sender's* arena. A
+//! dead pair surfaces through [`QueueTransport::take_comm_failures`] /
+//! [`CommError::PeerUnreachable`]. Acks, like barriers and the out-of-band
+//! channel, are control plane and never faulted. Without a fault plane there
+//! are no links: no header bytes and no ack writes.
 //!
 //! [`CHUNK_HDR_LEN`]: crate::proto::CHUNK_HDR_LEN
 
+use crate::lamellae::reliable::{Chunk, Recv, ReliableLink, Timer};
 use crate::lamellae::{CommError, PairLiveness};
-use crate::proto::{read_chunk_header, write_chunk_header, CHUNK_HDR_LEN};
+use crate::proto::CHUNK_HDR_LEN;
 use lamellar_metrics::{LamellaeMetrics, LamellaeStats};
 use parking_lot::Mutex;
 use rofi_sim::{ChunkAction, FabricPe, FaultPlane};
@@ -83,22 +75,6 @@ use std::time::{Duration, Instant};
 
 /// Buffers per destination (double buffering, per the paper).
 pub const NBUF: usize = 2;
-
-/// Default for how long a transmitted chunk may sit unacknowledged before
-/// the sender retransmits everything outstanding toward that destination.
-/// Generous relative to the microsecond-scale ack path, so spurious
-/// retransmits — which would perturb seeded-counter reproducibility —
-/// essentially never happen. Override per world with
-/// [`crate::config::WorldConfig::retransmit_timeout`] (e.g. a much larger
-/// value makes seeded runs stall-proof under heavy CPU contention).
-pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// Consecutive retransmit-timeout rounds with zero forward progress (no
-/// new ack collected) before a destination is declared unreachable. Each
-/// healthy round delivers at least the front chunk, so at a 5% injected
-/// drop rate the odds of 20 straight dead rounds are ~1e-26 — exhaustion
-/// means the pair is genuinely severed (e.g. drop probability 1.0).
-pub const MAX_RETRY_ROUNDS: u32 = 20;
 
 /// Bytes of symmetric region consumed by the queue block for a world of
 /// `num_pes` with the given per-buffer size.
@@ -160,19 +136,9 @@ impl BufferPool {
     }
 }
 
-/// One sealed wire chunk and its reliable-delivery state. On the default
-/// (loss-free) path only `bytes` is meaningful; the rest stays at its
-/// construction value.
-struct SealedChunk {
-    /// Pool-backed chunk bytes (header + framed envelopes in reliable
-    /// mode; framed envelopes only otherwise).
-    bytes: Vec<u8>,
-    /// Per-destination sequence number stamped at seal (0 when unreliable).
-    seq: u64,
-    /// Transmission attempts so far (bumped by go-back-N resends).
-    attempt: u32,
-    /// When this attempt hit the wire; `None` while queued.
-    sent_at: Option<Instant>,
+/// One sealed chunk waiting for a wire buffer.
+struct Queued {
+    chunk: Chunk,
     /// The injector's cached verdict for this attempt, so parked retries
     /// don't redraw (decisions are one-per-(chunk, attempt)).
     fault: Option<ChunkAction>,
@@ -180,50 +146,27 @@ struct SealedChunk {
     not_before: Option<Instant>,
 }
 
-impl SealedChunk {
-    fn new(bytes: Vec<u8>, seq: u64) -> Self {
-        SealedChunk { bytes, seq, attempt: 0, sent_at: None, fault: None, not_before: None }
+impl Queued {
+    fn new(chunk: Chunk) -> Self {
+        Queued { chunk, fault: None, not_before: None }
     }
 }
 
-/// Outgoing state for one destination: the open aggregation buffer that
-/// frames encode directly into, sealed chunks waiting for a free wire
-/// buffer, and (in reliable mode) the unacked in-flight window. All
-/// buffers are pool-backed.
+/// Everything kept about one peer: the open aggregation buffer that frames
+/// encode directly into, sealed chunks waiting for a free wire buffer, and
+/// (in fault-plane worlds) the reliable link. All buffers are pool-backed.
+#[derive(Default)]
 struct OutQueue {
     /// The chunk currently being filled (frames encode in place here).
     agg: Option<Vec<u8>>,
     /// Sealed chunks in FIFO order, each awaiting a wire buffer.
-    sealed: VecDeque<SealedChunk>,
+    sealed: VecDeque<Queued>,
     /// The front sealed chunk already failed a wire attempt (park/retry
     /// accounting).
     parked: bool,
-    /// Next sequence number to stamp at seal (reliable mode; starts at 1 —
-    /// the ack words in the symmetric block start at 0 = "nothing acked").
-    next_seq: u64,
-    /// Transmitted chunks not yet covered by the destination's cumulative
-    /// ack, in sequence order; their buffers return to the pool on ack.
-    unacked: VecDeque<SealedChunk>,
-    /// Consecutive retransmit-timeout rounds in which no new ack arrived;
-    /// reset by any ack, fatal at [`MAX_RETRY_ROUNDS`].
-    stalled_rounds: u32,
-    /// Retries exhausted: the destination is unreachable for the rest of
-    /// the world's lifetime and sends to it are discarded.
-    dead: bool,
-}
-
-impl Default for OutQueue {
-    fn default() -> Self {
-        OutQueue {
-            agg: None,
-            sealed: VecDeque::new(),
-            parked: false,
-            next_seq: 1,
-            unacked: VecDeque::new(),
-            stalled_rounds: 0,
-            dead: false,
-        }
-    }
+    /// Go-back-N state toward and from this peer; `None` without a fault
+    /// plane.
+    link: Option<ReliableLink>,
 }
 
 /// One PE's endpoint of the world-wide queue fabric.
@@ -236,6 +179,9 @@ pub struct QueueTransport {
     /// Aggregation threshold: assemble a wire chunk once this many bytes
     /// are waiting for a destination.
     agg_threshold: usize,
+    /// Bytes reserved at the front of every chunk for the reliable link's
+    /// sequence/checksum header (0 without a fault plane).
+    chunk_hdr: usize,
     /// Per-destination aggregation queues.
     out: Vec<Mutex<OutQueue>>,
     /// Recycled aggregation/receive buffers.
@@ -247,15 +193,8 @@ pub struct QueueTransport {
     /// ratio is the aggregation factor. `flushes` counts chunks handed to
     /// the wire; parks/retries expose backpressure.
     metrics: Arc<LamellaeMetrics>,
-    /// The fabric's fault injector, when it has one. Its presence switches
-    /// the transport into reliable-delivery mode.
+    /// The fabric's fault injector, when it has one.
     fault: Option<Arc<FaultPlane>>,
-    /// Reliable mode: next expected sequence number per source (receiver
-    /// side of go-back-N; starts at 1).
-    recv_next: Vec<AtomicU64>,
-    /// Reliable mode: how long the oldest unacked chunk may wait before a
-    /// go-back-N round fires. Defaults to [`RETRANSMIT_TIMEOUT`].
-    retransmit_timeout: Duration,
     /// Destinations newly declared dead, awaiting collection by the
     /// runtime via [`QueueTransport::take_comm_failures`].
     failed: Mutex<Vec<usize>>,
@@ -264,84 +203,42 @@ pub struct QueueTransport {
 impl QueueTransport {
     /// Build the endpoint. `base` must point at a symmetric allocation of at
     /// least [`queue_footprint`] bytes, 8-aligned, zero-initialized
-    /// (arenas start zeroed; `send_busy == 0` means free).
+    /// (arenas start zeroed; `send_busy == 0` means free). Counters record
+    /// when the fabric's metrics do; a fabric with a fault plane gets a
+    /// `ReliableLink` per peer with the plane's retransmit timeout.
     pub fn new(ep: FabricPe, base: usize, buffer_size: usize, agg_threshold: usize) -> Self {
-        Self::with_metrics(ep, base, buffer_size, agg_threshold, true)
-    }
-
-    /// [`QueueTransport::new`] with explicit control over whether the
-    /// transport records observability counters.
-    pub fn with_metrics(
-        ep: FabricPe,
-        base: usize,
-        buffer_size: usize,
-        agg_threshold: usize,
-        metrics: bool,
-    ) -> Self {
         assert_eq!(base % 8, 0, "queue base must be 8-aligned");
         assert!(agg_threshold <= buffer_size, "threshold must fit in a buffer");
         let fault = ep.fabric().fault_plane().cloned();
-        assert!(
-            fault.is_none() || buffer_size > CHUNK_HDR_LEN,
-            "wire buffers must fit the reliable-delivery chunk header"
-        );
+        let timeout = fault.as_ref().map(|plane| plane.config().retransmit_timeout);
+        let chunk_hdr = if fault.is_some() { CHUNK_HDR_LEN } else { 0 };
+        assert!(buffer_size > chunk_hdr, "wire buffers must fit the chunk header");
         let num_pes = ep.num_pes();
-        let out = (0..num_pes).map(|_| Mutex::new(OutQueue::default())).collect();
-        let recv_next = (0..num_pes).map(|_| AtomicU64::new(1)).collect();
-        let metrics = Arc::new(LamellaeMetrics::new(metrics));
+        let out = (0..num_pes)
+            .map(|_| {
+                Mutex::new(OutQueue { link: timeout.map(ReliableLink::new), ..Default::default() })
+            })
+            .collect();
+        let metrics = Arc::new(LamellaeMetrics::new(ep.fabric().metrics().enabled()));
         QueueTransport {
             ep,
             base,
             num_pes,
             buffer_size,
             agg_threshold,
+            chunk_hdr,
             out,
             pool: BufferPool::new(Arc::clone(&metrics)),
             progress_lock: Mutex::new(()),
             metrics,
             fault,
-            recv_next,
-            retransmit_timeout: RETRANSMIT_TIMEOUT,
             failed: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Override the reliable-delivery retransmit timeout (builder-style,
-    /// apply before first use). A larger value trades recovery latency for
-    /// immunity to spurious timer fires under scheduling stalls — seeded
-    /// determinism tests use this to keep injected-fault counters exactly
-    /// reproducible regardless of machine load. No effect when the
-    /// transport is not in reliable mode.
-    pub fn with_retransmit_timeout(mut self, timeout: Duration) -> Self {
-        assert!(timeout > Duration::ZERO, "retransmit timeout must be positive");
-        self.retransmit_timeout = timeout;
-        self
-    }
-
-    /// True when the transport is running the reliable-delivery layer
-    /// (sequence headers, acks, retransmits) — i.e. the fabric carries a
-    /// [`FaultPlane`].
-    pub fn reliable(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Per-chunk header overhead in the current mode.
-    fn hdr_len(&self) -> usize {
-        if self.reliable() {
-            CHUNK_HDR_LEN
-        } else {
-            0
         }
     }
 
     /// The transport's buffer pool (receive staging and aggregation chunks).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// The live transport metrics registry.
-    pub fn metrics(&self) -> &Arc<LamellaeMetrics> {
-        &self.metrics
     }
 
     /// Typed snapshot of the transport counters.
@@ -352,7 +249,7 @@ impl QueueTransport {
     /// Largest single framed message the wire can carry (net of the
     /// reliable-delivery chunk header, when one is in use).
     pub fn max_message(&self) -> usize {
-        self.buffer_size - self.hdr_len()
+        self.buffer_size - self.chunk_hdr
     }
 
     fn recv_sig_off(&self, src: usize, idx: usize) -> usize {
@@ -377,41 +274,17 @@ impl QueueTransport {
             + (dst * NBUF + idx) * self.buffer_size
     }
 
-    /// Enqueue one framed message for `dst`; wire chunks are emitted once
-    /// the aggregation threshold accumulates (never blocks).
-    ///
-    /// # Panics
-    /// If `framed` exceeds [`QueueTransport::max_message`]. Sends to a
-    /// destination declared dead by the reliable layer are silently
-    /// discarded (the failure already surfaced through
-    /// [`QueueTransport::take_comm_failures`]).
-    pub fn send(&self, dst: usize, framed: &[u8]) {
-        self.send_with(dst, framed.len(), &mut |buf| buf.extend_from_slice(framed));
-    }
-
-    /// Zero-copy send: reserves `len` bytes of the destination's open
-    /// aggregation buffer and lets `fill` encode the framed message straight
-    /// into it — the only copy is the encode itself. `fill` must append
-    /// exactly `len` bytes. Never blocks.
-    ///
-    /// # Panics
-    /// If `len` exceeds [`QueueTransport::max_message`] (use
-    /// [`QueueTransport::try_send_with`] for a fallible variant). Sends to
-    /// a dead destination are silently discarded.
-    pub fn send_with(&self, dst: usize, len: usize, fill: &mut dyn FnMut(&mut Vec<u8>)) {
-        match self.try_send_with(dst, len, fill) {
-            Ok(()) | Err(CommError::PeerUnreachable { .. }) => {}
-            Err(e) => panic!("{e} (large payloads take the heap path)"),
-        }
-    }
-
-    /// Fallible [`QueueTransport::send_with`]. Never blocks.
+    /// Enqueue one framed message for `dst`, zero-copy: reserves `len`
+    /// bytes of the destination's open aggregation buffer and lets `fill`
+    /// encode the framed message straight into it — the only copy is the
+    /// encode itself. `fill` must append exactly `len` bytes. Wire chunks
+    /// are emitted once the aggregation threshold accumulates. Never blocks.
     ///
     /// # Errors
     /// [`CommError::MessageTooLarge`] when the framed message cannot fit a
     /// wire chunk; [`CommError::PeerUnreachable`] when the reliable layer
-    /// has exhausted its retries toward `dst` (the message is not queued).
-    pub fn try_send_with(
+    /// has exhausted its retries toward `dst`. Either way nothing is queued.
+    pub fn send_with(
         &self,
         dst: usize,
         len: usize,
@@ -422,7 +295,7 @@ impl QueueTransport {
             return Err(CommError::MessageTooLarge { len, max });
         }
         let mut q = self.out[dst].lock();
-        if q.dead {
+        if q.link.as_ref().is_some_and(ReliableLink::is_dead) {
             return Err(CommError::PeerUnreachable { pe: dst });
         }
         self.metrics.record_send(len as u64);
@@ -431,13 +304,12 @@ impl QueueTransport {
         if q.agg.as_ref().is_some_and(|agg| agg.len() + len > self.buffer_size) {
             self.seal(&mut q);
         }
-        if q.agg.is_none() {
+        let agg = q.agg.get_or_insert_with(|| {
             let mut fresh = self.pool.acquire(self.buffer_size);
-            // Reserve room for the sequence/checksum header, stamped at seal.
-            fresh.resize(self.hdr_len(), 0);
-            q.agg = Some(fresh);
-        }
-        let agg = q.agg.as_mut().expect("just ensured");
+            // Room for the link's header, stamped at seal.
+            fresh.resize(self.chunk_hdr, 0);
+            fresh
+        });
         let before = agg.len();
         fill(agg);
         debug_assert_eq!(agg.len() - before, len, "send_with: fill appended a different length");
@@ -448,36 +320,24 @@ impl QueueTransport {
         Ok(())
     }
 
-    /// Seal the open aggregation buffer into the outgoing FIFO, stamping
-    /// the sequence/checksum header in reliable mode.
+    /// Seal the open aggregation buffer into the outgoing FIFO; the link,
+    /// if any, stamps its header.
     fn seal(&self, q: &mut OutQueue) {
         let Some(mut bytes) = q.agg.take() else { return };
-        debug_assert!(bytes.len() > self.hdr_len(), "open buffers always hold at least one frame");
-        let seq = if self.reliable() {
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            write_chunk_header(&mut bytes, seq);
-            seq
-        } else {
-            0
-        };
-        q.sealed.push_back(SealedChunk::new(bytes, seq));
+        debug_assert!(bytes.len() > self.chunk_hdr, "open buffers always hold at least one frame");
+        let seq = q.link.as_mut().map_or(0, |link| link.on_seal(&mut bytes));
+        q.sealed.push_back(Queued::new(Chunk { bytes, seq, attempt: 0 }));
     }
 
     /// Push every waiting byte toward the wire (best effort — chunks that
-    /// find no free buffer stay parked for the next call; in reliable mode
-    /// this also collects acks and runs the retransmit timer).
+    /// find no free buffer stay parked for the next call; with a link this
+    /// also collects acks and runs the retransmit timer).
     pub fn flush(&self) {
         for dst in 0..self.num_pes {
             let mut q = self.out[dst].lock();
             self.seal(&mut q);
             self.pump(dst, &mut q);
         }
-    }
-
-    /// Destinations declared unreachable so far (stable once reported).
-    pub fn dead_pairs(&self) -> Vec<usize> {
-        (0..self.num_pes).filter(|&dst| self.out[dst].lock().dead).collect()
     }
 
     /// Drain the destinations newly declared unreachable since the last
@@ -497,129 +357,84 @@ impl QueueTransport {
             .filter(|&dst| dst != me)
             .map(|dst| {
                 let q = self.out[dst].lock();
-                PairLiveness {
-                    dst,
-                    queued: q.sealed.len() + usize::from(q.agg.is_some()),
-                    unacked: q.unacked.len(),
-                    oldest_unacked_seq: q.unacked.front().map(|c| c.seq),
-                    next_seq: q.next_seq,
-                    stalled_rounds: q.stalled_rounds,
-                    dead: q.dead,
+                let queued = q.sealed.len() + usize::from(q.agg.is_some());
+                match &q.link {
+                    Some(link) => link.liveness(dst, queued),
+                    // No fault plane: a link's construction values.
+                    None => ReliableLink::new(Duration::ZERO).liveness(dst, queued),
                 }
             })
             .collect()
     }
 
     /// True when every frame and chunk for every destination has hit the
-    /// wire — and, in reliable mode, been acknowledged (dead pairs are
+    /// wire — and, with a link, been acknowledged (dead pairs are
     /// vacuously done; their traffic is discarded).
     pub fn outgoing_empty(&self) -> bool {
         self.out.iter().all(|q| {
             let q = q.lock();
-            q.dead || (q.agg.is_none() && q.sealed.is_empty() && q.unacked.is_empty())
+            let link = q.link.as_ref();
+            link.is_some_and(ReliableLink::is_dead)
+                || (q.agg.is_none()
+                    && q.sealed.is_empty()
+                    && link.is_none_or(ReliableLink::window_empty))
         })
     }
 
-    /// Pop every unacked chunk now covered by `dst`'s cumulative ack,
-    /// returning its buffer to the pool (reliable mode only).
-    fn collect_acks(&self, dst: usize, q: &mut OutQueue) {
-        if q.unacked.is_empty() {
-            return;
-        }
-        let me = self.ep.pe();
-        let acked = self
-            .ep
-            .atomic_u64(me, self.ack_off(dst))
-            .expect("ack word in bounds")
-            .load(Ordering::Acquire);
-        while q.unacked.front().is_some_and(|c| c.seq <= acked) {
-            let done = q.unacked.pop_front().expect("front exists");
-            self.pool.release(done.bytes);
-            q.stalled_rounds = 0; // forward progress
-        }
-    }
-
-    /// Run the retransmit timer for `dst`. When the oldest unacked chunk
-    /// has waited past the configured retransmit timeout (default
-    /// [`RETRANSMIT_TIMEOUT`]), either resend everything outstanding
-    /// (go-back-N, attempt bumped) or — after [`MAX_RETRY_ROUNDS`]
-    /// consecutive ack-free rounds — declare the pair dead. Returns true
-    /// when the pair died.
-    fn check_retransmit(&self, dst: usize, q: &mut OutQueue) -> bool {
-        let Some(front) = q.unacked.front() else { return false };
-        let waited = front.sent_at.map(|t| t.elapsed()).unwrap_or(Duration::ZERO);
-        if waited < self.retransmit_timeout {
-            return false;
-        }
-        q.stalled_rounds += 1;
-        if q.stalled_rounds >= MAX_RETRY_ROUNDS {
-            self.kill_pair(dst, q);
-            return true;
-        }
-        // Go-back-N: requeue every outstanding chunk, oldest first, for a
-        // fresh attempt (each gets a fresh fault verdict).
-        while let Some(mut chunk) = q.unacked.pop_back() {
-            chunk.attempt += 1;
-            chunk.sent_at = None;
-            chunk.fault = None;
-            chunk.not_before = None;
-            self.metrics.record_retransmit();
-            q.sealed.push_front(chunk);
-        }
-        false
-    }
-
-    /// Retry exhaustion: mark `dst` unreachable, discard its queued and
-    /// in-flight traffic, and queue the failure for
+    /// Retry exhaustion: discard `dst`'s unacked `window` and queued
+    /// traffic, and queue the failure for
     /// [`QueueTransport::take_comm_failures`].
-    fn kill_pair(&self, dst: usize, q: &mut OutQueue) {
-        q.dead = true;
+    fn kill_pair(&self, dst: usize, q: &mut OutQueue, window: Vec<Chunk>) {
         q.parked = false;
         self.metrics.record_delivery_failure();
-        for c in q.unacked.drain(..) {
-            self.pool.release(c.bytes);
-        }
-        for c in q.sealed.drain(..) {
-            self.pool.release(c.bytes);
-        }
-        if let Some(agg) = q.agg.take() {
-            self.pool.release(agg);
+        let queued = q.sealed.drain(..).map(|queued| queued.chunk);
+        for bytes in window.into_iter().chain(queued).map(|c| c.bytes).chain(q.agg.take()) {
+            self.pool.release(bytes);
         }
         self.failed.lock().push(dst);
     }
 
-    /// Emit sealed chunks for one destination in FIFO order. On the
-    /// loss-free path each buffer is recycled the moment its bytes are on
-    /// the wire; in reliable mode it is retained in the unacked window
-    /// until the destination's cumulative ack covers it, and the injector's
-    /// verdict (drop/duplicate/delay/truncate/corrupt) is applied per
-    /// attempt. Chunks that find no free wire buffer stay parked for the
-    /// next call.
+    /// Emit sealed chunks for one destination in FIFO order. Without a link
+    /// each buffer is recycled the moment its bytes are on the wire; with
+    /// one it joins the link's unacked window, and the injector's verdict
+    /// (drop/duplicate/delay/truncate/corrupt) is applied per attempt.
+    /// Chunks that find no free wire buffer stay parked for the next call.
     fn pump(&self, dst: usize, q: &mut OutQueue) {
-        if q.dead {
-            return;
-        }
-        if self.reliable() {
-            self.collect_acks(dst, q);
-            if self.check_retransmit(dst, q) {
+        let me = self.ep.pe();
+        if let Some(link) = &mut q.link {
+            if link.is_dead() {
                 return;
             }
+            let ack = self.ep.atomic_u64(me, self.ack_off(dst)).expect("ack word in bounds");
+            for bytes in link.on_ack(ack.load(Ordering::Acquire)) {
+                self.pool.release(bytes);
+            }
+            match link.on_timer(Instant::now()) {
+                Timer::Wait => {}
+                Timer::Resend(window) => {
+                    // Go-back-N: everything outstanding goes out again, oldest
+                    // first, each with a fresh fault verdict.
+                    for chunk in window.into_iter().rev() {
+                        self.metrics.record_retransmit();
+                        q.sealed.push_front(Queued::new(chunk));
+                    }
+                }
+                Timer::Dead(window) => return self.kill_pair(dst, q, window),
+            }
         }
-        let me = self.ep.pe();
         loop {
             let Some(front) = q.sealed.front_mut() else { return };
             // Resolve this attempt's fault verdict exactly once; parked
             // retries reuse the cached decision. Loopback traffic and the
             // default path are never faulted.
-            if front.fault.is_none() {
-                front.fault = Some(match &self.fault {
-                    Some(plane) if dst != me => {
-                        plane.chunk_action(me, dst, front.seq, front.attempt, front.bytes.len())
-                    }
-                    _ => ChunkAction::Deliver,
-                });
-            }
-            if let Some(ChunkAction::Delay { ns }) = front.fault {
+            let chunk = &front.chunk;
+            let action = *front.fault.get_or_insert_with(|| match &self.fault {
+                Some(plane) if dst != me => {
+                    plane.chunk_action(me, dst, chunk.seq, chunk.attempt, chunk.bytes.len())
+                }
+                _ => ChunkAction::Deliver,
+            });
+            if let ChunkAction::Delay { ns } = action {
                 front.not_before = Some(Instant::now() + Duration::from_nanos(ns));
                 // The delay is consumed; after the deadline, transmit.
                 front.fault = Some(ChunkAction::Deliver);
@@ -635,28 +450,28 @@ impl QueueTransport {
             if q.parked {
                 self.metrics.record_retry();
             }
-            let action = front.fault.expect("resolved above");
-            let pushed = match action {
+            let bytes = &front.chunk.bytes;
+            let pushed = match front.fault.expect("resolved above") {
                 // A dropped chunk vanishes without touching the wire; the
                 // retransmit timer is what notices.
                 ChunkAction::Drop => true,
-                ChunkAction::Deliver | ChunkAction::Duplicate => {
-                    let ok = self.try_push_to_wire(dst, &front.bytes);
+                action @ (ChunkAction::Deliver | ChunkAction::Duplicate) => {
+                    let ok = self.try_push_to_wire(dst, bytes);
                     if ok && action == ChunkAction::Duplicate {
                         // Best effort: a full wire just turns the duplicate
                         // back into a single delivery.
-                        self.try_push_to_wire(dst, &front.bytes);
+                        self.try_push_to_wire(dst, bytes);
                     }
                     ok
                 }
                 ChunkAction::Truncate { new_len } => {
-                    self.try_push_to_wire(dst, &front.bytes[..new_len.min(front.bytes.len())])
+                    self.try_push_to_wire(dst, &bytes[..new_len.min(bytes.len())])
                 }
                 ChunkAction::Corrupt { byte, bit } => {
                     // Damage a scratch copy: the retained original must stay
                     // pristine for the retransmit path.
-                    let mut scratch = self.pool.acquire(front.bytes.len());
-                    scratch.extend_from_slice(&front.bytes);
+                    let mut scratch = self.pool.acquire(bytes.len());
+                    scratch.extend_from_slice(bytes);
                     if let Some(b) = scratch.get_mut(byte) {
                         *b ^= 1 << bit;
                     }
@@ -675,13 +490,10 @@ impl QueueTransport {
             }
             q.parked = false;
             self.metrics.record_flush();
-            let mut done = q.sealed.pop_front().expect("front exists");
-            if self.reliable() {
-                done.sent_at = Some(Instant::now());
-                done.fault = None;
-                q.unacked.push_back(done);
-            } else {
-                self.pool.release(done.bytes);
+            let done = q.sealed.pop_front().expect("front exists").chunk;
+            match &mut q.link {
+                Some(link) => link.on_sent(done, Instant::now()),
+                None => self.pool.release(done.bytes),
             }
         }
     }
@@ -689,8 +501,8 @@ impl QueueTransport {
     /// One attempt to claim a free wire buffer for `dst` and transmit;
     /// false when both buffers are still in flight.
     ///
-    /// This bypasses aggregation *and* the reliable-delivery layer: no
-    /// sequence header is stamped and no retransmit state is kept, so in a
+    /// This bypasses aggregation *and* the reliable link: no sequence
+    /// header is stamped and no retransmit state is kept, so in a
     /// fault-plane world the bytes will be discarded by the receiver's
     /// header validation. Intended for raw-wire benchmarking on loss-free
     /// fabrics only.
@@ -762,37 +574,9 @@ impl QueueTransport {
                     .atomic_u64(src, self.send_busy_off(me, idx))
                     .expect("busy in bounds")
                     .store(0, Ordering::Release);
-                if self.reliable() {
-                    // Validate before trusting anything — a bit flip in the
-                    // seq field must read as corruption, not as a bogus
-                    // duplicate/gap.
-                    match read_chunk_header(&data[..len]) {
-                        None => self.metrics.record_corrupt_chunk_dropped(),
-                        Some((seq, payload)) => {
-                            let expected = self.recv_next[src].load(Ordering::Relaxed);
-                            if seq == expected {
-                                self.recv_next[src].store(expected + 1, Ordering::Relaxed);
-                                self.ack(src, seq);
-                                self.metrics.record_recv(len as u64);
-                                sink(src, payload);
-                                any = true;
-                            } else if seq < expected {
-                                // Duplicate (retransmit raced the ack):
-                                // suppress, but re-ack so the sender's
-                                // window advances.
-                                self.metrics.record_dup_chunk_dropped();
-                                self.ack(src, expected - 1);
-                            } else {
-                                // A gap means an earlier chunk was dropped;
-                                // go-back-N will resend everything from the
-                                // gap, so discard and wait (no ack).
-                                self.metrics.record_reordered_chunk_dropped();
-                            }
-                        }
-                    }
-                } else {
+                if let Some(payload) = self.accept(src, &data) {
                     self.metrics.record_recv(len as u64);
-                    sink(src, &data[..len]);
+                    sink(src, payload);
                     any = true;
                 }
                 data.clear();
@@ -803,12 +587,35 @@ impl QueueTransport {
         // the retransmit timer only runs when something pumps the queue.
         for dst in 0..self.num_pes {
             if let Some(mut q) = self.out[dst].try_lock() {
-                if !q.sealed.is_empty() || (self.reliable() && !q.unacked.is_empty()) {
+                if !q.sealed.is_empty() || q.link.as_ref().is_some_and(|l| !l.window_empty()) {
                     self.pump(dst, &mut q);
                 }
             }
         }
         any
+    }
+
+    /// The payload of a chunk received from `src`: the chunk itself without
+    /// a fault plane, otherwise whatever `src`'s link lets through (acking
+    /// deliveries and duplicates, counting every drop).
+    fn accept<'a>(&self, src: usize, raw: &'a [u8]) -> Option<&'a [u8]> {
+        if self.fault.is_none() {
+            return Some(raw);
+        }
+        let verdict = self.out[src].lock().link.as_mut().expect("a link per peer").on_recv(raw);
+        match verdict {
+            Recv::Deliver { seq, payload } => {
+                self.ack(src, seq);
+                return Some(payload);
+            }
+            Recv::Duplicate { ack } => {
+                self.metrics.record_dup_chunk_dropped();
+                self.ack(src, ack);
+            }
+            Recv::Gap => self.metrics.record_reordered_chunk_dropped(),
+            Recv::Corrupt => self.metrics.record_corrupt_chunk_dropped(),
+        }
+        None
     }
 
     /// Cumulative-ack `src`'s traffic through `seq`: a release store into
@@ -827,6 +634,12 @@ mod tests {
     use rofi_sim::fabric::{Fabric, FabricConfig};
     use rofi_sim::NetConfig;
     use std::sync::Arc;
+
+    /// Send a copy of `bytes`, panicking with the error's message on failure.
+    fn send(q: &QueueTransport, dst: usize, bytes: &[u8]) {
+        q.send_with(dst, bytes.len(), &mut |b| b.extend_from_slice(bytes))
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 
     fn make_world(n: usize, buf: usize, thresh: usize) -> Vec<Arc<QueueTransport>> {
         let foot = queue_footprint(n, buf);
@@ -868,11 +681,16 @@ mod tests {
         qs
     }
 
+    /// The retransmit timeout `pe`'s link toward `dst` runs with.
+    fn link_timeout(q: &QueueTransport, dst: usize) -> Duration {
+        q.out[dst].lock().link.as_ref().expect("fault-plane worlds have links").timeout
+    }
+
     #[test]
     fn retransmit_timeout_is_configurable() {
         let cfg = rofi_sim::FaultConfig::seeded(1).drop_prob(0.5);
         let qs = make_faulted_world(2, 4096, 100, cfg);
-        assert_eq!(qs[0].retransmit_timeout, RETRANSMIT_TIMEOUT, "default applies");
+        assert_eq!(link_timeout(&qs[0], 1), rofi_sim::RETRANSMIT_TIMEOUT, "default applies");
         let foot = queue_footprint(2, 4096);
         let pes = Fabric::launch(FabricConfig {
             num_pes: 2,
@@ -880,23 +698,26 @@ mod tests {
             heap_len: 4096,
             net: NetConfig::disabled(),
             metrics: true,
-            fault: Some(rofi_sim::FaultConfig::seeded(1).drop_prob(0.5)),
+            fault: Some(
+                rofi_sim::FaultConfig::seeded(1)
+                    .drop_prob(0.5)
+                    .retransmit_timeout(Duration::from_millis(250)),
+            ),
         });
         let base = pes[0].fabric().alloc_symmetric(foot, 8).unwrap();
-        let slow = QueueTransport::new(pes.into_iter().next().unwrap(), base, 4096, 100)
-            .with_retransmit_timeout(Duration::from_millis(250));
-        assert_eq!(slow.retransmit_timeout, Duration::from_millis(250));
+        let slow = QueueTransport::new(pes.into_iter().next().unwrap(), base, 4096, 100);
+        assert_eq!(link_timeout(&slow, 1), Duration::from_millis(250));
     }
 
     #[test]
     fn small_sends_aggregate_until_threshold() {
         let qs = make_world(2, 4096, 100);
         // 40 bytes: below the 100-byte threshold — nothing on the wire yet.
-        qs[0].send(1, &[1u8; 40]);
+        send(&qs[0], 1, &[1u8; 40]);
         let mut got = Vec::new();
         assert!(!qs[1].progress(&mut |src, data| got.push((src, data.to_vec()))));
         // Crossing the threshold emits one aggregated chunk.
-        qs[0].send(1, &[2u8; 70]);
+        send(&qs[0], 1, &[2u8; 70]);
         assert!(qs[1].progress(&mut |src, data| got.push((src, data.to_vec()))));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0);
@@ -908,7 +729,7 @@ mod tests {
     #[test]
     fn flush_pushes_partial_buffers() {
         let qs = make_world(2, 4096, 1000);
-        qs[0].send(1, &[7u8; 10]);
+        send(&qs[0], 1, &[7u8; 10]);
         qs[0].flush();
         let mut got = Vec::new();
         assert!(qs[1].progress(&mut |_, data| got.push(data.to_vec())));
@@ -921,9 +742,9 @@ mod tests {
         let qs = make_world(2, 256, 64);
         // Three chunk-sized sends: two claim the wire buffers, the third
         // parks (send never blocks).
-        qs[0].send(1, &[1u8; 64]);
-        qs[0].send(1, &[2u8; 64]);
-        qs[0].send(1, &[3u8; 64]);
+        send(&qs[0], 1, &[1u8; 64]);
+        send(&qs[0], 1, &[2u8; 64]);
+        send(&qs[0], 1, &[3u8; 64]);
         assert!(!qs[0].outgoing_empty(), "third chunk parks while wire is full");
         let mut got = Vec::new();
         while got.len() < 3 {
@@ -940,8 +761,8 @@ mod tests {
     fn bidirectional_traffic() {
         let qs = make_world(2, 4096, 1);
         for i in 0..20u8 {
-            qs[0].send(1, &[i; 8]);
-            qs[1].send(0, &[i + 100; 8]);
+            send(&qs[0], 1, &[i; 8]);
+            send(&qs[1], 0, &[i + 100; 8]);
             let mut got1 = Vec::new();
             while !qs[1].progress(&mut |_, d| got1.push(d.to_vec())) {
                 qs[0].flush();
@@ -962,7 +783,7 @@ mod tests {
         for (src, q) in qs.iter().enumerate() {
             for dst in 0..n {
                 if dst != src {
-                    q.send(dst, &[src as u8 + 1; 16]);
+                    send(q, dst, &[src as u8 + 1; 16]);
                 }
             }
         }
@@ -988,8 +809,8 @@ mod tests {
         // Two 150-byte frames with a 256-byte wire buffer: they cannot ride
         // one chunk, so they arrive as two chunks with intact frames.
         let qs = make_world(2, 256, 200);
-        qs[0].send(1, &[1u8; 150]);
-        qs[0].send(1, &[2u8; 150]);
+        send(&qs[0], 1, &[1u8; 150]);
+        send(&qs[0], 1, &[2u8; 150]);
         qs[0].flush();
         let mut got = Vec::new();
         while got.len() < 2 {
@@ -1004,7 +825,7 @@ mod tests {
     #[should_panic(expected = "exceeds wire buffer")]
     fn oversized_single_message_rejected() {
         let qs = make_world(2, 128, 64);
-        qs[0].send(1, &[0u8; 256]);
+        send(&qs[0], 1, &[0u8; 256]);
     }
 
     /// Buffers cycle through the pool: after warm-up the transport performs
@@ -1014,7 +835,7 @@ mod tests {
     fn buffer_pool_recycles_to_quiescence() {
         let qs = make_world(2, 4096, 1);
         for round in 0..50u8 {
-            qs[0].send(1, &[round; 32]);
+            send(&qs[0], 1, &[round; 32]);
             let mut got = 0;
             while got == 0 {
                 qs[1].progress(&mut |_, d| got += d.len() / 32);
@@ -1045,7 +866,7 @@ mod tests {
                 let peer = 1 - me;
                 let mut received = 0usize;
                 for i in 0..200u8 {
-                    q.send(peer, &[i; 64]);
+                    send(&q, peer, &[i; 64]);
                     q.progress(&mut |_, d| received += d.len() / 64);
                     q.flush();
                 }
@@ -1095,7 +916,7 @@ mod tests {
         // injector never fires — everything arrives first try.
         let qs = make_faulted_world(2, 4096, 1, rofi_sim::FaultConfig::seeded(1));
         for i in 0..10u8 {
-            qs[0].send(1, &[i; 32]);
+            send(&qs[0], 1, &[i; 32]);
         }
         let got = drain_reliable(&qs, 10);
         for (i, d) in got.iter().enumerate() {
@@ -1117,7 +938,7 @@ mod tests {
         let cfg = rofi_sim::FaultConfig::seeded(42).drop_prob(0.3);
         let qs = make_faulted_world(2, 4096, 1, cfg);
         for i in 0..50u8 {
-            qs[0].send(1, &[i; 16]);
+            send(&qs[0], 1, &[i; 16]);
         }
         let got = drain_reliable(&qs, 50);
         // In-order, exactly-once delivery despite the drops.
@@ -1132,7 +953,7 @@ mod tests {
         let cfg = rofi_sim::FaultConfig::seeded(7).corrupt_prob(0.3).truncate_prob(0.1);
         let qs = make_faulted_world(2, 4096, 1, cfg);
         for i in 0..40u8 {
-            qs[0].send(1, &[i ^ 0x5a; 24]);
+            send(&qs[0], 1, &[i ^ 0x5a; 24]);
         }
         let got = drain_reliable(&qs, 40);
         for (i, d) in got.iter().enumerate() {
@@ -1150,7 +971,7 @@ mod tests {
         let cfg = rofi_sim::FaultConfig::seeded(3).dup_prob(0.5);
         let qs = make_faulted_world(2, 4096, 1, cfg);
         for i in 0..40u8 {
-            qs[0].send(1, &[i; 8]);
+            send(&qs[0], 1, &[i; 8]);
         }
         let got = drain_reliable(&qs, 40);
         assert_eq!(got.len(), 40, "exactly-once: duplicates never reach the sink");
@@ -1166,11 +987,12 @@ mod tests {
         // the failure surfaces as a dead pair — not a hang or a panic.
         let cfg = rofi_sim::FaultConfig::seeded(9).drop_prob(1.0);
         let qs = make_faulted_world(2, 4096, 1, cfg);
-        qs[0].send(1, &[1u8; 16]);
+        send(&qs[0], 1, &[1u8; 16]);
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             qs[0].flush();
-            let dead = qs[0].dead_pairs();
+            let dead: Vec<usize> =
+                qs[0].pair_liveness().iter().filter(|p| p.dead).map(|p| p.dst).collect();
             if !dead.is_empty() {
                 assert_eq!(dead, vec![1]);
                 break;
@@ -1182,7 +1004,7 @@ mod tests {
         assert!(qs[0].take_comm_failures().is_empty());
         assert!(
             matches!(
-                qs[0].try_send_with(1, 4, &mut |b| b.extend_from_slice(&[0; 4])),
+                qs[0].send_with(1, 4, &mut |b| b.extend_from_slice(&[0; 4])),
                 Err(CommError::PeerUnreachable { pe: 1 })
             ),
             "sends to a dead pair fail fast"
@@ -1197,7 +1019,7 @@ mod tests {
         let qs = make_faulted_world(2, 128, 64, rofi_sim::FaultConfig::seeded(1));
         let max = qs[0].max_message();
         assert_eq!(max, 128 - CHUNK_HDR_LEN, "header steals capacity from the wire buffer");
-        let r = qs[0].try_send_with(1, max + 1, &mut |b| b.extend_from_slice(&[0; 128]));
+        let r = qs[0].send_with(1, max + 1, &mut |b| b.extend_from_slice(&[0; 128]));
         assert_eq!(r, Err(CommError::MessageTooLarge { len: max + 1, max }));
     }
 
@@ -1209,7 +1031,7 @@ mod tests {
             let cfg = rofi_sim::FaultConfig::seeded(seed).drop_prob(0.2).corrupt_prob(0.1);
             let qs = make_faulted_world(2, 4096, 1, cfg);
             for i in 0..30u8 {
-                qs[0].send(1, &[i; 16]);
+                send(&qs[0], 1, &[i; 16]);
             }
             drain_reliable(&qs, 30);
             let f = qs[0].ep.fabric().fault_plane().unwrap().stats();
@@ -1221,5 +1043,61 @@ mod tests {
         assert_eq!(a, b, "equal seeds reproduce identical injected-fault counts");
         assert!(a.0 > 0, "20% drops over ≥30 chunks must fire");
         assert_ne!(a, c, "different seeds should diverge (probabilistically certain here)");
+    }
+    /// A 1-PE world (the `Smp` backend) sends to itself through the same
+    /// queues: frames arrive in order and every buffer comes back.
+    #[test]
+    fn single_pe_loopback_delivers_in_order() {
+        use crate::proto::{deframe, frame, Envelope};
+        let qs = make_world(1, 4096, 1000);
+        let sent = [Envelope::Reply(7, vec![1, 2, 3]), Envelope::FreeHeap(9)];
+        let mut got = Vec::new();
+        for round in 0..10 {
+            for env in &sent {
+                let mut buf = Vec::new();
+                frame(env, &mut buf);
+                send(&qs[0], 0, &buf);
+            }
+            qs[0].flush();
+            assert!(qs[0].progress(&mut |src, chunk| {
+                assert_eq!(src, 0);
+                got.extend(deframe(chunk));
+            }));
+            assert_eq!(got.len(), 2 * (round + 1));
+        }
+        assert!(got.chunks(2).all(|pair| pair == sent));
+        assert!(!qs[0].progress(&mut |_, _| panic!("no more messages")));
+        assert!(qs[0].outgoing_empty());
+        assert_eq!(qs[0].pool().outstanding(), 0);
+    }
+
+    /// `pair_liveness` reports a severed pair's window round by round, then
+    /// its death.
+    #[test]
+    fn pair_liveness_tracks_a_severed_pair() {
+        let qs = make_faulted_world(2, 4096, 1, rofi_sim::FaultConfig::seeded(9).drop_prob(1.0));
+        send(&qs[0], 1, &[1u8; 16]);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let sample = || {
+            qs[0].flush();
+            let live = qs[0].pair_liveness();
+            assert_eq!(live.len(), 1);
+            assert!(Instant::now() < deadline, "pair never died: {}", live[0]);
+            live[0].clone()
+        };
+        let mut live = sample();
+        while live.stalled_rounds < 3 {
+            live = sample();
+        }
+        assert_eq!(live.dst, 1);
+        assert_eq!(live.queued + live.unacked, 1, "{live}");
+        assert_eq!(live.oldest_unacked_seq, Some(1), "{live}");
+        assert_eq!(live.next_seq, 2);
+        assert!(live.stalled_rounds >= 1 && !live.dead, "{live}");
+        while !live.dead {
+            live = sample();
+        }
+        assert_eq!(live.unacked, 0, "{live}");
+        assert_eq!(live.queued, 0, "{live}");
     }
 }

@@ -3,10 +3,11 @@
 //! The Lamellar runtime core (paper Secs. III-A through III-E):
 //!
 //! * **Lamellae layer** ([`lamellae`]) — the trait abstracting network
-//!   interfaces, with three implementors mirroring the paper: `Rofi`
-//!   (distributed simulation over [`rofi_sim`], with the network cost model
-//!   and full (de)serialization), `Shmem` (identical machinery over plain
-//!   shared memory), and `Smp` (single PE, no serialization).
+//!   interfaces, with one implementor serving the paper's three backends:
+//!   `Rofi` (distributed simulation over [`rofi_sim`], with the network cost
+//!   model and full (de)serialization), `Shmem` (identical machinery over
+//!   plain shared memory), and `Smp` (the same Lamellae over one PE; local
+//!   AMs already skip serialization in the runtime).
 //! * **Thread pool layer** — provided by [`lamellar_executor`]; each PE owns
 //!   a work-stealing executor.
 //! * **Active Message layer** ([`mod@am`]) — the [`am::LamellarAm`] trait, the

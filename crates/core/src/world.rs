@@ -14,7 +14,7 @@
 
 use crate::am::{AmError, AmHandle, AmOpts, IdempotentAm, LamellarAm, MultiAmHandle};
 use crate::config::{Backend, WorldConfig};
-use crate::lamellae::{queue::queue_footprint, FabricLamellae, Lamellae, SmpLamellae};
+use crate::lamellae::{queue::queue_footprint, FabricLamellae, Lamellae};
 use crate::runtime::RuntimeInner;
 use crate::team::LamellarTeam;
 use lamellar_executor::{JoinHandle, PoolConfig, ThreadPool};
@@ -560,20 +560,13 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
     let worlds: Vec<LamellarWorld> = endpoints
         .into_iter()
         .map(|ep| {
-            let lamellae: Arc<dyn Lamellae> = match cfg.backend {
-                Backend::Smp => Arc::new(SmpLamellae::new(ep)),
-                b => Arc::new(
-                    FabricLamellae::new(
-                        ep,
-                        b,
-                        queue_base,
-                        cfg.buffer_size,
-                        cfg.agg_threshold,
-                        cfg.metrics,
-                    )
-                    .with_retransmit_timeout(cfg.retransmit_timeout),
-                ),
-            };
+            let lamellae: Arc<dyn Lamellae> = Arc::new(FabricLamellae::new(
+                ep,
+                cfg.backend,
+                queue_base,
+                cfg.buffer_size,
+                cfg.agg_threshold,
+            ));
             let pe = lamellae.my_pe();
             let pool = ThreadPool::new(PoolConfig {
                 workers: cfg.threads_per_pe,

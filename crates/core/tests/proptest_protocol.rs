@@ -154,7 +154,7 @@ proptest! {
                 let mut payload = vec![(seq[dst] & 0xff) as u8; len];
                 // Header: 4-byte sequence number.
                 payload[..4.min(len)].copy_from_slice(&seq[dst].to_le_bytes()[..4.min(len)]);
-                q0.send(dst, &payload);
+                q0.send_with(dst, payload.len(), &mut |b| b.extend_from_slice(&payload)).unwrap();
                 seq[dst] += 1;
             }
             // Keep flushing until every parked chunk reaches the wire —

@@ -32,6 +32,14 @@
 use lamellar_metrics::{FaultMetrics, FaultStats};
 use rand::{Rng, SeedableRng, SmallRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
+
+/// Default for [`FaultConfig::retransmit_timeout`]: how long a transmitted
+/// chunk may sit unacknowledged before the sender retransmits everything
+/// outstanding toward that destination. Generous relative to the
+/// microsecond-scale ack path, so spurious retransmits — which would perturb
+/// seeded-counter reproducibility — essentially never happen.
+pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Per-direction fault probabilities, each in `[0, 1]`.
 ///
@@ -87,6 +95,13 @@ pub struct FaultConfig {
     /// Per-direction rate overrides `(src, dst, rates)`; the first match
     /// wins over [`rates`](Self::rates).
     pub pair_rates: Vec<(usize, usize, FaultRates)>,
+    /// How long the oldest unacked chunk may wait before the transport's
+    /// reliable-delivery layer fires a go-back-N round (default
+    /// [`RETRANSMIT_TIMEOUT`]). Raise it when seeded-counter
+    /// reproducibility must survive OS scheduling stalls: a stall longer
+    /// than the timeout fires a spurious retransmit, which bumps attempt
+    /// numbers and thus re-rolls fault verdicts.
+    pub retransmit_timeout: Duration,
 }
 
 impl FaultConfig {
@@ -99,6 +114,7 @@ impl FaultConfig {
             delay_ns: 200_000,
             alloc_fail: 0.0,
             pair_rates: Vec::new(),
+            retransmit_timeout: RETRANSMIT_TIMEOUT,
         }
     }
 
@@ -142,6 +158,13 @@ impl FaultConfig {
     /// Override the rates for one src→dst direction.
     pub fn pair(mut self, src: usize, dst: usize, rates: FaultRates) -> Self {
         self.pair_rates.push((src, dst, rates));
+        self
+    }
+
+    /// Set the reliable-delivery retransmit timeout (see the field doc for
+    /// the latency/determinism trade-off).
+    pub fn retransmit_timeout(mut self, timeout: Duration) -> Self {
+        self.retransmit_timeout = timeout;
         self
     }
 

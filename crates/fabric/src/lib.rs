@@ -41,7 +41,7 @@ pub mod rofi;
 pub use arena::Arena;
 pub use barrier::SenseBarrier;
 pub use fabric::{Fabric, FabricPe};
-pub use fault::{ChunkAction, FaultConfig, FaultPlane, FaultRates};
+pub use fault::{ChunkAction, FaultConfig, FaultPlane, FaultRates, RETRANSMIT_TIMEOUT};
 pub use netmodel::{NetConfig, NetModel};
 
 /// Errors surfaced by fabric operations.

@@ -25,6 +25,9 @@ cargo run --release -p lamellar-bench --bin ablation_executor -- --tasks 2000 --
 echo "==> ablation_batch_size smoke (the 50 000 limit ships 200 KB sub-batches through the large-payload fallback)"
 cargo run --release -p lamellar-bench --bin ablation_batch_size -- --pes 2 --scale 200
 
+echo "==> ablation_faultplane smoke (reliable transport end to end under loss, beside its no-plane baseline)"
+cargo run --release -p lamellar-bench --bin ablation_faultplane -- --msgs 5000 --payload 64
+
 echo "==> cargo build --release perfbench (the performance ledger still compiles)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 

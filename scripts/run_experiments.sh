@@ -22,5 +22,4 @@ run ./target/release/ablation_agg_threshold --pes 2 --scale 2000
 run ./target/release/ablation_batch_size    --pes 2 --scale 2000
 run ./target/release/ablation_atomic_kind   --pes 2 --scale 2000
 run ./target/release/ablation_executor
-run ./target/release/ablation_msgpath       --msgs 200000 --payload 64
 run ./target/release/ablation_faultplane    --msgs 50000  --payload 64

@@ -249,12 +249,10 @@ fn chaos_delay_plus_retry_is_exactly_once_for_idempotent_ams() {
     // go-back-N. Windows widen 3 → 6 → 12 → 24 → 48 ms: by the later
     // attempts a window comfortably covers the worst-case delayed round
     // trip, so every request converges to Ok.
-    let fault = FaultConfig::seeded(0x1de0_b0ff).delay_prob(0.5, 8_000_000);
-    let cfg = WorldConfig::new(2)
-        .backend(Backend::Rofi)
-        .agg_threshold(256)
-        .faults(fault)
+    let fault = FaultConfig::seeded(0x1de0_b0ff)
+        .delay_prob(0.5, 8_000_000)
         .retransmit_timeout(Duration::from_millis(20));
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256).faults(fault);
     let opts = AmOpts::deadline(Duration::from_millis(3)).retry(RetryPolicy::exponential(
         5,
         Duration::from_millis(3),

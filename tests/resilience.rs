@@ -92,15 +92,12 @@ fn remote_panic_is_isolated_and_typed() {
 fn deadline_beats_severed_pair_to_a_typed_timeout() {
     let mut sever = FaultRates::none();
     sever.drop = 1.0;
-    let fault = FaultConfig::seeded(0x7e57).pair(0, 1, sever);
-    let cfg = WorldConfig::new(2)
-        .backend(Backend::Rofi)
-        .agg_threshold(256)
-        .faults(fault)
-        // Pair death needs 20 empty retransmit rounds — 40 s at this
-        // timeout. If the test finishes fast, the deadline won (not the
-        // reliable layer giving up).
-        .retransmit_timeout(Duration::from_secs(2));
+    // Pair death needs 20 empty retransmit rounds — 40 s at this
+    // timeout. If the test finishes fast, the deadline won (not the
+    // reliable layer giving up).
+    let fault =
+        FaultConfig::seeded(0x7e57).pair(0, 1, sever).retransmit_timeout(Duration::from_secs(2));
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256).faults(fault);
     let elapsed = lamellar_core::world::launch_with_config(cfg, |world| {
         if world.my_pe() != 0 {
             world.barrier();
@@ -189,14 +186,14 @@ fn cancellation_releases_pending_reply_slots() {
 fn watchdog_fails_stalled_wait_with_diagnostics() {
     let mut sever = FaultRates::none();
     sever.drop = 1.0;
-    let fault = FaultConfig::seeded(0x57a1).pair(0, 1, sever);
+    // Transport give-up pushed far out: the watchdog must be what
+    // unblocks the wait.
+    let fault =
+        FaultConfig::seeded(0x57a1).pair(0, 1, sever).retransmit_timeout(Duration::from_secs(10));
     let cfg = WorldConfig::new(2)
         .backend(Backend::Rofi)
         .agg_threshold(256)
         .faults(fault)
-        // Transport give-up pushed far out: the watchdog must be what
-        // unblocks the wait.
-        .retransmit_timeout(Duration::from_secs(10))
         .watchdog(WatchdogConfig::fail(Duration::from_millis(200)));
     let outcomes = lamellar_core::world::launch_with_config(cfg, |world| {
         if world.my_pe() != 0 {
