@@ -7,30 +7,31 @@
 //! world; and (de)allocating Memory Regions. The Trait defines the functions
 //! for performing remote put/get transfers, and synchronization primitives."
 //!
-//! One implementor, [`FabricLamellae`], serves all three of the paper's
-//! backends:
+//! The paper's trait has one concrete type here, [`Lamellae`], which
+//! serves all three of the paper's backends:
 //!
-//! | paper            | here                                        |
-//! |------------------|---------------------------------------------|
-//! | `ROFI_Lamellae`  | [`FabricLamellae`] with the cost model      |
-//! | `Shmem` Lamellae | [`FabricLamellae`] without the model        |
-//! | `SMP` Lamellae   | [`FabricLamellae`] over a 1-PE fabric       |
+//! | paper            | here                                  |
+//! |------------------|---------------------------------------|
+//! | `ROFI_Lamellae`  | [`Lamellae`] with the cost model      |
+//! | `Shmem` Lamellae | [`Lamellae`] without the model        |
+//! | `SMP` Lamellae   | [`Lamellae`] over a 1-PE fabric       |
 //!
 //! The Shmem lamellae deliberately "implements all the same internal data
 //! structures as the ROFI Lamellae" — in this reproduction they literally
 //! share the implementation, differing only in whether transfers are charged
-//! network costs. The SMP lamellae needs "no (de)serialization" because its
-//! one PE never messages another: the runtime already runs PE-local AMs
-//! without serializing them, so its queues sit idle.
+//! network costs, so "switching between the ROFI Lamellae and the Shared
+//! Memory Lamellae should be transparent". The SMP lamellae needs "no
+//! (de)serialization" because its one PE never messages another: the
+//! runtime already runs PE-local AMs without serializing them, so its
+//! queues sit idle.
 
-pub mod fabric_backend;
 pub mod queue;
 pub(crate) mod reliable;
 
-pub use fabric_backend::FabricLamellae;
-
 use crate::config::Backend;
 use lamellar_metrics::{FabricStats, FaultStats, LamellaeStats};
+use queue::QueueTransport;
+use rofi_sim::{FabricError, FabricPe};
 
 /// A communication failure surfaced by a fallible lamellae operation
 /// ([`Lamellae::send_with`], [`Lamellae::alloc_heap`],
@@ -123,21 +124,49 @@ impl std::fmt::Display for PairLiveness {
     }
 }
 
-/// The interface between the runtime and a network backend.
+/// The interface between the runtime and the network: one concrete type
+/// over a simulated-fabric endpoint and its message queues, whichever
+/// [`Backend`] the world runs on.
 ///
 /// All message-queue operations deal in *framed envelope bytes* (see
 /// [`crate::proto`]); the Lamellae neither parses nor interprets them —
 /// "treating messages as a sequence of bytes, without interpreting their
 /// content" (Sec. III-A.1).
-pub trait Lamellae: Send + Sync + 'static {
+pub struct Lamellae {
+    ep: FabricPe,
+    queues: QueueTransport,
+    backend: Backend,
+}
+
+impl Lamellae {
+    /// Wrap a fabric endpoint. `queue_base` is the symmetric offset of the
+    /// pre-allocated queue block (see [`queue::queue_footprint`]). The
+    /// metrics switch and any fault plane come from the endpoint's fabric.
+    pub fn new(
+        ep: FabricPe,
+        backend: Backend,
+        queue_base: usize,
+        buffer_size: usize,
+        agg_threshold: usize,
+    ) -> Self {
+        let queues = QueueTransport::new(ep.clone(), queue_base, buffer_size, agg_threshold);
+        Lamellae { ep, queues, backend }
+    }
+
     /// This PE's id.
-    fn my_pe(&self) -> usize;
+    pub fn my_pe(&self) -> usize {
+        self.ep.pe()
+    }
 
     /// Number of PEs in the world.
-    fn num_pes(&self) -> usize;
+    pub fn num_pes(&self) -> usize {
+        self.ep.num_pes()
+    }
 
     /// Which backend this is.
-    fn backend(&self) -> Backend;
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
 
     /// Enqueue one framed message for `dst`, aggregating with other
     /// messages headed there until the aggregation threshold is reached.
@@ -148,15 +177,19 @@ pub trait Lamellae: Send + Sync + 'static {
     /// [`CommError::MessageTooLarge`] when `len` exceeds the wire-chunk
     /// capacity; [`CommError::PeerUnreachable`] when the reliable-delivery
     /// layer has declared `dst` dead. Either way nothing is queued.
-    fn send_with(
+    pub fn send_with(
         &self,
         dst: usize,
         len: usize,
         fill: &mut dyn FnMut(&mut Vec<u8>),
-    ) -> Result<(), CommError>;
+    ) -> Result<(), CommError> {
+        self.queues.send_with(dst, len, fill)
+    }
 
     /// Push every partially-filled aggregation buffer to the wire.
-    fn flush(&self);
+    pub fn flush(&self) {
+        self.queues.flush();
+    }
 
     /// Drain incoming messages, handing each `(src, envelope bytes)` chunk
     /// to `sink` as a borrowed slice of a transport-owned (typically pooled)
@@ -165,95 +198,180 @@ pub trait Lamellae: Send + Sync + 'static {
     /// the tick. Returns true if any message was delivered. Reentrant calls
     /// are no-ops (one ticker at a time), so the progress thread, barrier
     /// waiters, and `block_on` helpers can all pump without coordination.
-    fn progress(&self, sink: &mut dyn FnMut(usize, &[u8])) -> bool;
+    pub fn progress(&self, sink: &mut dyn FnMut(usize, &[u8])) -> bool {
+        self.ep.fabric().progress_delay(); // failure-injection hook
+        self.queues.progress(sink)
+    }
 
     /// Collective barrier over the world, servicing `progress` while
     /// waiting (a blocked PE must keep executing AMs sent to it).
-    fn barrier_with(&self, progress: &mut dyn FnMut());
+    pub fn barrier_with(&self, progress: &mut dyn FnMut()) {
+        self.ep.barrier_with_progress(progress);
+    }
 
     /// Allocate `size` bytes in the symmetric region. The returned offset
-    /// is valid on every PE. Callers coordinate collectively (root
-    /// allocates, broadcasts via [`Lamellae::oob_put`]).
+    /// is valid on every PE. Callers coordinate collectively (the root
+    /// allocates and shares the offset with its team).
     ///
     /// # Errors
     /// [`CommError::AllocFailed`] when the symmetric region cannot satisfy
     /// the request. A *collective* symmetric allocation failing on one PE
     /// but not others has no consensus protocol — callers treating this as
     /// recoverable must coordinate the outcome themselves.
-    fn alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError>;
+    pub fn alloc_symmetric(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_symmetric(size, align).map_err(map_alloc_err)
+    }
 
     /// Release a symmetric allocation (exactly once per allocation,
     /// coordinated by the Darc destruction protocol).
-    fn free_symmetric(&self, offset: usize);
+    pub fn free_symmetric(&self, offset: usize) {
+        self.ep.fabric().free_symmetric(offset).expect("invalid symmetric free");
+    }
 
     /// Allocate `size` bytes from this PE's one-sided dynamic heap.
     ///
     /// # Errors
     /// [`CommError::AllocFailed`] when the heap cannot satisfy the request
     /// (genuine exhaustion, or an armed fault plane failing it).
-    fn alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError>;
+    pub fn alloc_heap(&self, size: usize, align: usize) -> Result<usize, CommError> {
+        self.ep.fabric().alloc_heap(self.ep.pe(), size, align).map_err(map_alloc_err)
+    }
 
     /// Release a one-sided heap allocation on `pe`.
-    fn free_heap(&self, pe: usize, offset: usize);
+    pub fn free_heap(&self, pe: usize, offset: usize) {
+        self.ep.fabric().free_heap(pe, offset).expect("invalid heap free");
+    }
 
     /// One-sided RDMA write of `src` into `pe`'s memory at `offset`.
     ///
     /// # Safety
     /// No PE may concurrently access the destination range; the range must
     /// be a live allocation.
-    unsafe fn put(&self, pe: usize, offset: usize, src: &[u8]);
+    pub unsafe fn put(&self, pe: usize, offset: usize, src: &[u8]) {
+        // SAFETY: contract forwarded to the caller.
+        unsafe { self.ep.put(pe, offset, src).expect("rdma put") }
+    }
 
     /// One-sided RDMA read from `pe`'s memory at `offset`.
     ///
     /// # Safety
     /// No PE may concurrently write the source range; the range must be a
     /// live allocation.
-    unsafe fn get(&self, pe: usize, offset: usize, dst: &mut [u8]);
+    pub unsafe fn get(&self, pe: usize, offset: usize, dst: &mut [u8]) {
+        // SAFETY: contract forwarded to the caller.
+        unsafe { self.ep.get(pe, offset, dst).expect("rdma get") }
+    }
 
     /// Base pointer of `pe`'s memory region (for constructing local slices
     /// in the array layer; only the local PE's pointer may be dereferenced
     /// safely by higher layers).
-    fn base_ptr(&self, pe: usize) -> *mut u8;
-
-    /// Out-of-band bootstrap exchange (collective-allocation broadcasts).
-    fn oob_put(&self, tag: u64, val: u64);
-
-    /// Blocking out-of-band read.
-    fn oob_get(&self, tag: u64) -> u64;
-
-    /// Remove an out-of-band value.
-    fn oob_remove(&self, tag: u64);
+    pub fn base_ptr(&self, pe: usize) -> *mut u8 {
+        self.ep.fabric().arena(pe).expect("valid pe").base_ptr()
+    }
 
     /// Failure injection (tests): stall every progress tick by `ns`
     /// nanoseconds.
-    fn inject_progress_delay(&self, ns: u64);
+    pub fn inject_progress_delay(&self, ns: u64) {
+        self.ep.fabric().set_progress_delay_ns(ns);
+    }
 
     /// Bytes currently allocated in this PE's one-sided heap — zero once
     /// every LargeRequest/FreeHeap staging handshake has completed.
-    fn heap_in_use(&self) -> usize;
+    pub fn heap_in_use(&self) -> usize {
+        self.ep.fabric().heap_in_use(self.ep.pe()).unwrap_or(0)
+    }
 
     /// Typed snapshot of the fabric-layer counters (puts/gets, bytes,
     /// inject vs. rendezvous split, barrier rounds). Fabric counters are
     /// fabric-global: they include every PE's transfers.
-    fn fabric_stats(&self) -> FabricStats;
+    pub fn fabric_stats(&self) -> FabricStats {
+        self.ep.fabric().stats()
+    }
 
     /// Typed snapshot of this PE's lamellae-layer counters (messages,
     /// serialized bytes, aggregation-buffer flushes, wire park/retry
     /// counts).
-    fn lamellae_stats(&self) -> LamellaeStats;
+    pub fn lamellae_stats(&self) -> LamellaeStats {
+        self.queues.stats()
+    }
 
     /// Drain the list of destination PEs newly declared unreachable by the
     /// reliable-delivery layer (each PE is reported exactly once). The
     /// runtime polls this from its progress tick to fail pending AM
     /// futures.
-    fn take_comm_failures(&self) -> Vec<usize>;
+    pub fn take_comm_failures(&self) -> Vec<usize> {
+        self.queues.take_comm_failures()
+    }
 
     /// Typed snapshot of the fault-injection counters (what the injector
     /// did to the traffic). All-zero when no fault plane is armed.
-    fn fault_stats(&self) -> FaultStats;
+    pub fn fault_stats(&self) -> FaultStats {
+        self.ep.fabric().fault_plane().map(|p| p.stats()).unwrap_or_default()
+    }
 
     /// Per-destination delivery-window diagnostics (queued/unacked chunk
     /// counts, stuck sequence numbers, dead pairs) — consumed by the
     /// liveness watchdog's stall dump.
-    fn pair_liveness(&self) -> Vec<PairLiveness>;
+    pub fn pair_liveness(&self) -> Vec<PairLiveness> {
+        self.queues.pair_liveness()
+    }
+}
+
+/// Translate a fabric allocation failure into the lamellae-level taxonomy.
+fn map_alloc_err(e: FabricError) -> CommError {
+    match e {
+        FabricError::OutOfMemory { requested, available } => {
+            CommError::AllocFailed { requested, available }
+        }
+        // Allocation paths only fail with OutOfMemory; anything else is a
+        // runtime bug worth surfacing loudly.
+        other => panic!("unexpected fabric allocation error: {other:?}"),
+    }
+}
+
+impl std::fmt::Debug for Lamellae {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lamellae")
+            .field("backend", &self.backend)
+            .field("pe", &self.my_pe())
+            .field("num_pes", &self.num_pes())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lamellae::queue::queue_footprint;
+    use rofi_sim::fabric::{Fabric, FabricConfig};
+    use rofi_sim::NetConfig;
+
+    #[test]
+    fn smp_memory_ops_are_local() {
+        let mut eps = Fabric::launch(FabricConfig {
+            num_pes: 1,
+            sym_len: 1 << 16,
+            heap_len: 1 << 14,
+            net: NetConfig::disabled(),
+            metrics: true,
+            fault: None,
+        });
+        let ep = eps.pop().unwrap();
+        let base = ep.fabric().alloc_symmetric(queue_footprint(1, 4096), 64).unwrap();
+        let lam = Lamellae::new(ep, Backend::Smp, base, 4096, 1024);
+        let off = lam.alloc_heap(64, 8).unwrap();
+        // SAFETY: single PE, single thread.
+        unsafe {
+            lam.put(0, off, &[9, 8, 7]);
+            let mut out = [0u8; 3];
+            lam.get(0, off, &mut out);
+            assert_eq!(out, [9, 8, 7]);
+        }
+        lam.free_heap(0, off);
+        let s = lam.alloc_symmetric(128, 8).unwrap();
+        lam.free_symmetric(s);
+        // Barrier is a no-op with one PE.
+        lam.barrier_with(&mut || {});
+        assert_eq!(lam.backend(), Backend::Smp);
+    }
 }

@@ -56,8 +56,8 @@
 //! plane's verdict applied at each wire push, and the cumulative-ack word per
 //! peer in the symmetric block, written back into the *sender's* arena. A
 //! dead pair surfaces through [`QueueTransport::take_comm_failures`] /
-//! [`CommError::PeerUnreachable`]. Acks, like barriers and the out-of-band
-//! channel, are control plane and never faulted. Without a fault plane there
+//! [`CommError::PeerUnreachable`]. Acks, like barriers, are control plane
+//! and never faulted. Without a fault plane there
 //! are no links: no header bytes and no ack writes.
 //!
 //! [`CHUNK_HDR_LEN`]: crate::proto::CHUNK_HDR_LEN

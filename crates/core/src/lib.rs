@@ -2,8 +2,9 @@
 //!
 //! The Lamellar runtime core (paper Secs. III-A through III-E):
 //!
-//! * **Lamellae layer** ([`lamellae`]) — the trait abstracting network
-//!   interfaces, with one implementor serving the paper's three backends:
+//! * **Lamellae layer** ([`lamellae`]) — the paper's trait abstracting
+//!   network interfaces is one concrete type here, serving its three
+//!   backends:
 //!   `Rofi` (distributed simulation over [`rofi_sim`], with the network cost
 //!   model and full (de)serialization), `Shmem` (identical machinery over
 //!   plain shared memory), and `Smp` (the same Lamellae over one PE; local

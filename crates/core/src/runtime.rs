@@ -227,7 +227,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct RuntimeInner {
     pe: usize,
     num_pes: usize,
-    lamellae: Arc<dyn Lamellae>,
+    lamellae: Lamellae,
     pool: ThreadPool,
     shared: Arc<WorldShared>,
     pending: PendingTable,
@@ -303,7 +303,7 @@ pub(crate) fn current_rt() -> Option<Arc<RuntimeInner>> {
 
 impl RuntimeInner {
     pub(crate) fn new(
-        lamellae: Arc<dyn Lamellae>,
+        lamellae: Lamellae,
         pool: ThreadPool,
         shared: Arc<WorldShared>,
         large_threshold: usize,
@@ -348,7 +348,7 @@ impl RuntimeInner {
     }
 
     /// The Lamellae backing this PE.
-    pub fn lamellae(&self) -> &Arc<dyn Lamellae> {
+    pub fn lamellae(&self) -> &Lamellae {
         &self.lamellae
     }
 
@@ -784,21 +784,27 @@ impl RuntimeInner {
         for p in victims {
             (p.reply)(Err(AmError::Comm(CommError::PeerUnreachable { pe: p.dst })));
         }
-        // Fire-and-forget launches toward the dead PEs will never be acked:
-        // reconcile by crediting them now (forcing `acked = sent` also
-        // neutralizes any ack that limps home later).
-        let mut reclaimed = 0usize;
-        for &pe in dead {
-            if pe >= self.num_pes {
-                continue;
-            }
+        // Fire-and-forget launches toward the dead PEs will never be acked.
+        let (reclaimed, _) = self.reclaim_unit_credits(dead.iter().copied());
+        self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
+    }
+
+    /// Credit every unacked fire-and-forget launch toward `pes` now
+    /// (forcing `acked = sent` also neutralizes any ack that limps home
+    /// later). Returns the number reclaimed and the first PE that had
+    /// unacked launches; the caller retires the count from `my_pending`.
+    fn reclaim_unit_credits(&self, pes: impl Iterator<Item = usize>) -> (usize, Option<usize>) {
+        let mut reclaimed = 0;
+        let mut first = None;
+        for pe in pes {
             let mut origin = self.unit_origin[pe].lock();
-            reclaimed += (origin.sent - origin.acked) as usize;
-            origin.acked = origin.sent;
+            if origin.sent > origin.acked {
+                first.get_or_insert(pe);
+                reclaimed += (origin.sent - origin.acked) as usize;
+                origin.acked = origin.sent;
+            }
         }
-        if reclaimed > 0 {
-            self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
-        }
+        (reclaimed, first)
     }
 
     /// Launch `am` on every PE in the world (including this one).
@@ -1202,24 +1208,13 @@ impl RuntimeInner {
         let victims = self.pending.drain_all();
         // Abandon unacked fire-and-forget launches too, or a stalled
         // unit-only workload would leave `wait_all` spinning forever.
-        let mut reclaimed = 0usize;
-        let mut stalled_unit_dst = None;
-        for (pe, origin) in self.unit_origin.iter().enumerate() {
-            let mut o = origin.lock();
-            if o.sent > o.acked {
-                stalled_unit_dst.get_or_insert(pe);
-                reclaimed += (o.sent - o.acked) as usize;
-                o.acked = o.sent;
-            }
-        }
-        if let Some(first) = victims.first() {
-            *self.last_stall.lock() = Some(AmError::Stalled { pe: first.dst, waited });
-        } else if let Some(pe) = stalled_unit_dst {
+        let (reclaimed, stalled_unit_dst) = self.reclaim_unit_credits(0..self.num_pes);
+        if let Some(pe) = victims.first().map(|p| p.dst).or(stalled_unit_dst) {
             *self.last_stall.lock() = Some(AmError::Stalled { pe, waited });
         }
-        if reclaimed > 0 {
-            self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
-        }
+        // Only after `last_stall` is stored: once `my_pending` drops,
+        // `wait_all` may return and `try_wait_all` must see the error.
+        self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
         // Callbacks run outside the lock (they wake user code).
         for p in victims {
             (p.reply)(Err(AmError::Stalled { pe: p.dst, waited }));

@@ -21,7 +21,7 @@ pub(crate) struct TeamInfo {
     pub(crate) pes: Vec<usize>,
     /// Per-PE collective sequence number; SPMD programs issue team
     /// collectives in the same order on every member, which makes
-    /// `(world, team, seq)` a globally-agreed tag for each collective.
+    /// `(team, seq)` a world-wide agreed tag for each collective.
     seq: AtomicU64,
 }
 
@@ -103,9 +103,10 @@ impl LamellarTeam {
         for &pe in &members {
             assert!(self.rank_of(pe).is_some(), "PE {pe} is not a member of the parent team");
         }
-        // Root (parent rank 0) draws the id; everyone learns it via OOB.
+        // Root (parent rank 0) draws the id; everyone learns it through
+        // the collective object exchange.
         let shared = Arc::clone(self.rt.shared());
-        let team_id = self.bcast_u64(0, || shared.new_team_id());
+        let team_id = *self.exchange_object(0, || shared.new_team_id());
         if !members.contains(&self.rt.pe()) {
             // Still participate in the parent-team synchronization above,
             // but hold no handle.
@@ -125,32 +126,8 @@ impl LamellarTeam {
     /// Next collective tag for this team (see [`TeamInfo::seq`]).
     pub(crate) fn next_tag(&self) -> u64 {
         let seq = self.info.seq.fetch_add(1, Ordering::Relaxed);
-        // Combine (world, team, seq) into an OOB tag.
-        let shared = self.rt.shared();
-        lamellar_codec::type_hash("team-collective")
-            ^ shared.world_id.rotate_left(40)
-            ^ self.info.id.rotate_left(20)
-            ^ seq
-    }
-
-    /// Collective broadcast of a u64 computed by the team member with rank
-    /// `root`. Blocks until the value is available; synchronizes the team.
-    #[doc(hidden)]
-    pub fn bcast_u64(&self, root: usize, make: impl FnOnce() -> u64) -> u64 {
-        let tag = self.next_tag();
-        self.rt.shared().check_collective(tag, "bcast_u64");
-        let lam = self.rt.lamellae();
-        if self.my_rank() == root {
-            let v = make();
-            lam.oob_put(tag, v);
-        }
-        let v = lam.oob_get(tag);
-        self.barrier();
-        if self.my_rank() == root {
-            lam.oob_remove(tag);
-            self.rt.shared().finish_collective(tag);
-        }
-        v
+        // Combine (team, seq) into a tag for the world's collective maps.
+        lamellar_codec::type_hash("team-collective") ^ self.info.id.rotate_left(20) ^ seq
     }
 
     /// Collective exchange of a shared object: `root` constructs it, every

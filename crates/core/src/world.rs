@@ -14,7 +14,7 @@
 
 use crate::am::{AmError, AmHandle, AmOpts, IdempotentAm, LamellarAm, MultiAmHandle};
 use crate::config::{Backend, WorldConfig};
-use crate::lamellae::{queue::queue_footprint, FabricLamellae, Lamellae};
+use crate::lamellae::{queue::queue_footprint, Lamellae};
 use crate::runtime::RuntimeInner;
 use crate::team::LamellarTeam;
 use lamellar_executor::{JoinHandle, PoolConfig, ThreadPool};
@@ -37,8 +37,6 @@ type DepositSlots = Vec<Option<Box<dyn Any + Send>>>;
 /// symmetric RDMA memory; here a shared structure keeps the same semantics
 /// observable (see DESIGN.md §1).
 pub struct WorldShared {
-    /// Unique id of this world (distinguishes OOB tags across worlds).
-    pub(crate) world_id: u64,
     /// Next id for trackable distributed objects (Darcs, memory regions).
     next_trackable: AtomicU64,
     /// id → (weak state, in-flight serialization pins).
@@ -73,12 +71,9 @@ struct TrackableEntry {
     pins: Vec<Arc<dyn Any + Send + Sync>>,
 }
 
-static NEXT_WORLD_ID: AtomicU64 = AtomicU64::new(1);
-
 impl WorldShared {
     fn new() -> Arc<Self> {
         Arc::new(WorldShared {
-            world_id: NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed),
             next_trackable: AtomicU64::new(1),
             trackables: Mutex::new(HashMap::new()),
             exchange: Mutex::new(HashMap::new()),
@@ -509,8 +504,9 @@ impl LamellarWorldBuilder {
         self
     }
 
-    /// Backend override (Smp and Shmem are valid for one PE; Rofi works too
-    /// and simply runs the full serialization path against itself).
+    /// Backend override (Smp and Shmem are valid for one PE; Rofi works too).
+    /// Every AM in a one-PE world is PE-local, so on any backend it runs
+    /// without being serialized.
     pub fn backend(mut self, b: Backend) -> Self {
         self.backend = b;
         self
@@ -560,13 +556,8 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
     let worlds: Vec<LamellarWorld> = endpoints
         .into_iter()
         .map(|ep| {
-            let lamellae: Arc<dyn Lamellae> = Arc::new(FabricLamellae::new(
-                ep,
-                cfg.backend,
-                queue_base,
-                cfg.buffer_size,
-                cfg.agg_threshold,
-            ));
+            let lamellae =
+                Lamellae::new(ep, cfg.backend, queue_base, cfg.buffer_size, cfg.agg_threshold);
             let pe = lamellae.my_pe();
             let pool = ThreadPool::new(PoolConfig {
                 workers: cfg.threads_per_pe,

@@ -217,7 +217,7 @@ fn region_memory_is_reclaimed_after_drop() {
         let rt = world.rt().clone();
         let lam = rt.lamellae();
         // Probe the heap allocator's next first-fit offset.
-        let probe = |lam: &std::sync::Arc<dyn lamellar_core::lamellae::Lamellae>| {
+        let probe = |lam: &lamellar_core::lamellae::Lamellae| {
             let off = lam.alloc_heap(64, 8).unwrap();
             lam.free_heap(rt.pe(), off);
             off

@@ -194,7 +194,7 @@ fn heap_staging_stress_returns_to_baseline() {
     }
     let cfg = WorldConfig::new(3).agg_threshold(1024);
     let results = launch_with_config(cfg, |world| {
-        let lamellae = std::sync::Arc::clone(world.rt().lamellae());
+        let lamellae = world.rt().lamellae();
         world.barrier();
         let baseline = lamellae.heap_in_use();
         // 8 KiB payloads: far above the 1 KiB threshold → every remote AM

@@ -1,6 +1,6 @@
 //! Collective synchronization primitives across simulated PEs.
 //!
-//! The Lamellae trait requires a `barrier` (paper Sec. III-A). PEs here are
+//! The paper's Lamellae trait requires a `barrier` (Sec. III-A). PEs here are
 //! thread groups, so a sense-reversing centralized barrier is both correct
 //! and representative: its cost grows with PE count like the small-message
 //! latencies a real dissemination barrier would exhibit.

@@ -11,11 +11,6 @@
 //! * a **dynamic heap** `[sym_len, sym_len + heap_len)` — per-PE one-sided
 //!   allocations with PE-private offsets (OneSidedMemoryRegions, AM
 //!   payload staging).
-//!
-//! Bootstrap metadata (e.g. "which offset did the root allocate?") travels
-//! over an **out-of-band exchange** ([`Fabric::oob_put`]/[`Fabric::oob_get`]),
-//! modeling the PMI/sockets out-of-band channel real ROFI uses during
-//! world setup.
 
 use crate::alloc::FreeList;
 use crate::arena::Arena;
@@ -24,8 +19,7 @@ use crate::fault::{FaultConfig, FaultPlane};
 use crate::netmodel::{NetConfig, NetModel};
 use crate::{FabricError, Result};
 use lamellar_metrics::{FabricMetrics, FabricStats};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -105,9 +99,6 @@ pub struct Fabric {
     sym_alloc: Mutex<FreeList>,
     /// Per-PE dynamic heap allocators.
     heap_allocs: Vec<Mutex<FreeList>>,
-    /// Out-of-band key/value exchange for bootstrap metadata.
-    oob: Mutex<HashMap<u64, u64>>,
-    oob_cv: Condvar,
     /// Failure injection: extra nanoseconds added to each progress tick.
     progress_delay_ns: AtomicU64,
     /// Fabric-layer observability: puts/gets/bytes, inject vs. rendezvous
@@ -135,8 +126,6 @@ impl Fabric {
             sym_len: cfg.sym_len,
             sym_alloc: Mutex::new(FreeList::new(0, cfg.sym_len)),
             heap_allocs,
-            oob: Mutex::new(HashMap::new()),
-            oob_cv: Condvar::new(),
             progress_delay_ns: AtomicU64::new(0),
             metrics: FabricMetrics::new(cfg.metrics),
             fault,
@@ -180,8 +169,8 @@ impl Fabric {
     /// same-size block on **every** PE's arena.
     ///
     /// Callers must coordinate collectively (exactly one logical allocation
-    /// per collective call) — the runtime does root-allocates + an OOB
-    /// broadcast, exactly like ROFI's `rofi_alloc`.
+    /// per collective call) — the runtime's root allocates and shares the
+    /// offset with its team, exactly like ROFI's `rofi_alloc`.
     ///
     /// # Errors
     /// [`FabricError::OutOfMemory`] when the region cannot satisfy the
@@ -271,28 +260,6 @@ impl Fabric {
     pub fn heap_in_use(&self, pe: usize) -> Result<usize> {
         self.check_pe(pe)?;
         Ok(self.heap_allocs[pe].lock().in_use())
-    }
-
-    /// Publish a bootstrap value under `tag` (out-of-band channel).
-    pub fn oob_put(&self, tag: u64, val: u64) {
-        self.oob.lock().insert(tag, val);
-        self.oob_cv.notify_all();
-    }
-
-    /// Blocking read of a bootstrap value.
-    pub fn oob_get(&self, tag: u64) -> u64 {
-        let mut map = self.oob.lock();
-        loop {
-            if let Some(&v) = map.get(&tag) {
-                return v;
-            }
-            self.oob_cv.wait(&mut map);
-        }
-    }
-
-    /// Remove a bootstrap value once all readers are done.
-    pub fn oob_remove(&self, tag: u64) {
-        self.oob.lock().remove(&tag);
     }
 
     /// Failure injection: stall each progress tick by `ns` nanoseconds.
@@ -521,17 +488,6 @@ mod tests {
         let s = f.alloc_symmetric(1 << 16, 1).unwrap(); // whole symmetric region
         let h = f.alloc_heap(0, 1 << 16, 1).unwrap(); // whole heap
         assert!(s + (1 << 16) <= h || h + (1 << 16) <= s);
-    }
-
-    #[test]
-    fn oob_exchange_blocks_until_put() {
-        let pes = small_fabric(2);
-        let f = Arc::clone(pes[0].fabric());
-        let reader = std::thread::spawn(move || f.oob_get(42));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        pes[1].fabric().oob_put(42, 4242);
-        assert_eq!(reader.join().unwrap(), 4242);
-        pes[1].fabric().oob_remove(42);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! [`Fabric::alloc_symmetric`] directly.
 //!
 //! Only *data-plane chunk deliveries* and *allocations* are faulted. The
-//! control plane — ack words, barriers, the out-of-band bootstrap exchange,
-//! and one-sided RDMA gets — stays reliable, mirroring how RDMA transports
-//! layer unreliable datagram traffic over a reliable verbs substrate.
+//! control plane — ack words, barriers and one-sided RDMA gets — stays
+//! reliable, mirroring how RDMA transports layer unreliable datagram
+//! traffic over a reliable verbs substrate.
 //!
 //! [`Fabric::alloc_heap`]: crate::fabric::Fabric::alloc_heap
 //! [`Fabric::alloc_symmetric`]: crate::fabric::Fabric::alloc_symmetric

@@ -345,3 +345,124 @@ fn panicking_unit_ams_are_counted_inline_and_spilled() {
     assert!(served.spilled_execs >= 1, "the yielding AM spilled: {}", served.spilled_execs);
     assert_eq!(served.inline_execs + served.spilled_execs, 2, "both AMs executed");
 }
+
+lamellar_core::am! {
+    /// Fire-and-forget no-op: completes through the counted (`AckCount`)
+    /// path only.
+    pub struct NoopUnitAm { pub tag: u64 }
+    exec(am, _ctx) -> () {
+        let _ = am.tag;
+    }
+}
+
+/// Unit AMs toward a pair the reliable layer declares dead are credited back
+/// on the spot: `wait_all` returns at pair death (default 1 ms retransmit
+/// timeout), not when the 5 s fail-mode watchdog would turn the hang into
+/// `Err(Stalled)`.
+#[test]
+fn unit_ams_toward_a_severed_pair_are_reclaimed() {
+    let mut sever = FaultRates::none();
+    sever.drop = 1.0;
+    let fault = FaultConfig::seeded(0x5e7e).pair(0, 1, sever);
+    let cfg = WorldConfig::new(2)
+        .backend(Backend::Rofi)
+        .agg_threshold(256)
+        .faults(fault)
+        .watchdog(WatchdogConfig::fail(Duration::from_secs(5)));
+    let outcomes = lamellar_core::world::launch_with_config(cfg, |world| {
+        if world.my_pe() != 0 {
+            world.barrier();
+            return None;
+        }
+        for tag in 0..100 {
+            world.exec_unit_am_pe(1, NoopUnitAm { tag });
+        }
+        assert_eq!(world.try_wait_all(), Ok(()));
+        assert_eq!(world.rt().pending_count(), 0, "every unit launch retired");
+        world.barrier();
+        Some(world.stats())
+    });
+    let stats = outcomes[0].as_ref().expect("PE0 stats");
+    assert_eq!(stats.lamellae.delivery_failures, 1, "one pair declared dead");
+    assert_eq!(stats.am.unit_sent, 100);
+    assert_eq!(stats.am.stalls, 0, "pair death, not the watchdog, ended the wait");
+}
+
+/// A stall with only unit AMs in flight (no pending reply slot to fail)
+/// still ends the wait: the fail-mode watchdog reclaims the unacked credits
+/// and `try_wait_all` names the silent destination.
+#[test]
+fn watchdog_reclaims_a_unit_only_stall() {
+    let mut sever = FaultRates::none();
+    sever.drop = 1.0;
+    // Transport give-up pushed far out: the watchdog must be what
+    // unblocks the wait.
+    let fault =
+        FaultConfig::seeded(0x57a2).pair(0, 1, sever).retransmit_timeout(Duration::from_secs(10));
+    let cfg = WorldConfig::new(2)
+        .backend(Backend::Rofi)
+        .agg_threshold(256)
+        .faults(fault)
+        .watchdog(WatchdogConfig::fail(Duration::from_millis(200)));
+    lamellar_core::world::launch_with_config(cfg, |world| {
+        if world.my_pe() == 0 {
+            for tag in 0..10 {
+                world.exec_unit_am_pe(1, NoopUnitAm { tag });
+            }
+            let start = Instant::now();
+            let verdict = world.try_wait_all();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(5),
+                "watchdog should fire at ~200 ms zero-progress, took {elapsed:?}"
+            );
+            match verdict {
+                Err(AmError::Stalled { pe: 1, waited }) => {
+                    assert!(waited >= Duration::from_millis(200), "waited {waited:?}")
+                }
+                other => panic!("expected Err(Stalled{{pe:1,..}}), got {other:?}"),
+            }
+            assert_eq!(world.rt().pending_count(), 0, "every unit launch reclaimed");
+        }
+        world.barrier();
+    });
+}
+
+lamellar_core::am! {
+    /// Returns the length of its payload.
+    pub struct BlobAm { pub data: Vec<u8> }
+    exec(am, _ctx) -> usize {
+        am.data.len()
+    }
+}
+
+/// Heap exhaustion surfaces as a typed `CommError::AllocFailed`, both from
+/// a one-sided region allocation and from a large AM whose payload cannot
+/// be staged, and leaves nothing allocated or pending behind.
+#[test]
+fn heap_exhaustion_is_a_typed_alloc_failure() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi).heap_len(4096).agg_threshold(1024);
+    lamellar_core::world::launch_with_config(cfg, |world| {
+        if world.my_pe() == 0 {
+            match world.try_alloc_one_sided_mem_region::<u64>(1 << 20) {
+                Err(CommError::AllocFailed { requested, available }) => {
+                    assert_eq!(requested, 8 << 20);
+                    assert!(available <= 4096, "available {available}");
+                }
+                Err(other) => panic!("expected AllocFailed, got {other:?}"),
+                Ok(_) => panic!("an 8 MiB region cannot fit a 4 KiB heap"),
+            }
+            // 8 KiB is above the 1 KiB threshold: the payload must stage
+            // through the heap, which cannot hold it.
+            let h = world.exec_am_pe(1, BlobAm { data: vec![7; 8192] }).fallible();
+            match world.block_on(h) {
+                Err(AmError::Comm(CommError::AllocFailed { .. })) => {}
+                other => panic!("expected Err(Comm(AllocFailed)), got {other:?}"),
+            }
+            world.wait_all();
+            assert_eq!(world.rt().lamellae().heap_in_use(), 0, "nothing left allocated");
+            assert_eq!(world.rt().pending_count(), 0, "nothing left pending");
+        }
+        world.barrier();
+    });
+}
