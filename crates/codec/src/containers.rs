@@ -25,19 +25,11 @@ impl Codec for String {
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         varint::write_len(buf, self.len());
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let len = varint::read_len(r, varint::DEFAULT_MAX_LEN)?;
-        // Reserve conservatively: a corrupt length prefix must not allocate
-        // more than the bytes actually present can justify.
-        let mut out = Vec::with_capacity(len.min(r.remaining().max(1)));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, len)
     }
     fn encoded_len(&self) -> usize {
         varint::len_u64(self.len() as u64) + self.iter().map(Codec::encoded_len).sum::<usize>()
@@ -108,17 +100,13 @@ impl<T: Codec> Codec for Box<T> {
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
     fn encode(&self, buf: &mut Vec<u8>) {
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         // Decode into a Vec first; N is typically tiny for AM payloads.
-        let mut v = Vec::with_capacity(N);
-        for _ in 0..N {
-            v.push(T::decode(r)?);
-        }
-        v.try_into().map_err(|_| CodecError::UnexpectedEof { needed: N, available: 0 })
+        T::decode_vec(r, N)?
+            .try_into()
+            .map_err(|_| CodecError::UnexpectedEof { needed: N, available: 0 })
     }
     fn encoded_len(&self) -> usize {
         self.iter().map(Codec::encoded_len).sum()

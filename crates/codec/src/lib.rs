@@ -40,9 +40,42 @@ pub use typeid::{type_hash, TypeId64};
 /// Implementations must be *round-trip exact*: `decode(encode(x)) == x` for
 /// every representable value, and `decode` must consume exactly the bytes
 /// `encode` produced (so values can be concatenated into message buffers).
+///
+/// `encode` must append exactly [`Codec::encoded_len`] bytes and must not
+/// panic: the runtime encodes AM requests *and* replies straight into an
+/// aggregation buffer while holding that destination's out-queue lock, so
+/// a short write or a panic mid-encode would corrupt every frame queued
+/// behind it.
+///
+/// Sequences (`Vec<T>`, `[T; N]`) go through [`Codec::encode_slice`] and
+/// [`Codec::decode_vec`]. Their defaults loop over the elements; the
+/// fixed-width primitives override both with a single pass over the whole
+/// run (see [`primitives`]), which produces the same bytes.
 pub trait Codec: Sized {
     /// Append the binary representation of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Append every element of `items`, back to back, with no length
+    /// prefix. Must equal calling [`Codec::encode`] on each in turn.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decode exactly `len` elements that [`Codec::encode_slice`] wrote.
+    ///
+    /// `len` comes off the wire, so an implementation must not reserve
+    /// more than the bytes left in `r` can justify: a corrupt length prefix
+    /// has to fail with a typed error, not allocate. The default caps its
+    /// reservation at `r.remaining()`.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>> {
+        let mut out = Vec::with_capacity(len.min(r.remaining().max(1)));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 
     /// Decode a value from the front of `r`, consuming exactly the bytes
     /// that [`Codec::encode`] wrote.

@@ -4,56 +4,79 @@
 //! Array element payloads dominate Lamellar's wire traffic, and fixed-width
 //! lets the runtime compute exact buffer sizes up front (the Lamellae
 //! pre-allocates RDMA message buffers, Sec. III-A).
+//!
+//! ## Bulk path
+//!
+//! The integers, the floats and `usize`/`isize` override
+//! [`Codec::encode_slice`] and [`Codec::decode_vec`], so a `Vec<u32>` of
+//! array offsets or a `Vec<f64>` of values is converted in one pass over
+//! `chunks_exact(W)` instead of one bounds-checked push per element. The
+//! bytes are identical to the per-element encoding, and the code is the
+//! same on every target (no endianness-dependent `memcpy`). Decode first
+//! takes all `len * W` bytes from the [`Reader`] (overflow-checked), so a
+//! corrupt length prefix fails as [`CodecError::UnexpectedEof`] before
+//! anything is allocated.
+//!
+//! `bool` and `char` keep the per-element default: not every byte pattern
+//! is a valid value, so each element must be validated on its own.
 
 use crate::error::{CodecError, Result};
 use crate::reader::Reader;
 use crate::Codec;
 
-macro_rules! impl_codec_int {
-    ($($t:ty),*) => {
+/// Take the `len * width` bytes of a fixed-width run, or fail without
+/// consuming anything when the reader holds fewer (or the product
+/// overflows).
+fn take_run<'a>(r: &mut Reader<'a>, len: usize, width: usize) -> Result<&'a [u8]> {
+    let bytes = len
+        .checked_mul(width)
+        .ok_or(CodecError::UnexpectedEof { needed: usize::MAX, available: r.remaining() })?;
+    r.take(bytes)
+}
+
+/// `$t` travels as the fixed-width little-endian `$wire` (itself for every
+/// type but `usize`/`isize`).
+macro_rules! impl_codec_num {
+    ($($t:ty => $wire:ty),*) => {
         $(
             impl Codec for $t {
                 fn encode(&self, buf: &mut Vec<u8>) {
-                    buf.extend_from_slice(&self.to_le_bytes());
+                    buf.extend_from_slice(&(*self as $wire).to_le_bytes());
                 }
                 fn decode(r: &mut Reader<'_>) -> Result<Self> {
-                    Ok(<$t>::from_le_bytes(r.take_array()?))
+                    Ok(<$wire>::from_le_bytes(r.take_array()?) as $t)
                 }
                 fn encoded_len(&self) -> usize {
-                    std::mem::size_of::<$t>()
+                    std::mem::size_of::<$wire>()
+                }
+                fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+                    const W: usize = std::mem::size_of::<$wire>();
+                    let start = buf.len();
+                    buf.resize(start + items.len() * W, 0);
+                    for (dst, v) in buf[start..].chunks_exact_mut(W).zip(items) {
+                        dst.copy_from_slice(&(*v as $wire).to_le_bytes());
+                    }
+                }
+                fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>> {
+                    const W: usize = std::mem::size_of::<$wire>();
+                    let run = take_run(r, len, W)?;
+                    Ok(run
+                        .chunks_exact(W)
+                        .map(|c| <$wire>::from_le_bytes(c.try_into().expect("W bytes")) as $t)
+                        .collect())
                 }
             }
         )*
     };
 }
 
-impl_codec_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
-
 // usize/isize travel as u64/i64 so the wire format is architecture
 // independent (PEs on different word sizes must interoperate).
-impl Codec for usize {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as u64).encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(u64::decode(r)? as usize)
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Codec for isize {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as i64).encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(i64::decode(r)? as isize)
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
+impl_codec_num!(
+    u8 => u8, u16 => u16, u32 => u32, u64 => u64, u128 => u128,
+    i8 => i8, i16 => i16, i32 => i32, i64 => i64, i128 => i128,
+    f32 => f32, f64 => f64, usize => u64, isize => i64
+);
 
 impl Codec for bool {
     fn encode(&self, buf: &mut Vec<u8>) {

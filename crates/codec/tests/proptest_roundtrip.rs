@@ -127,3 +127,194 @@ proptest! {
         roundtrip(&op);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bulk path for primitive vectors: same bytes as one element at a time.
+// ---------------------------------------------------------------------------
+
+/// Checks the bulk `Vec<T>` encoding against a per-element reference built
+/// here from `le` (each element's little-endian wire bytes), then decodes
+/// it back. Elements are compared by their wire bytes, so NaN payloads and
+/// signed zeros must survive bit for bit.
+fn bulk_matches_reference<T: Codec + Clone, const W: usize>(v: &[T], le: impl Fn(&T) -> [u8; W]) {
+    let mut reference = Vec::new();
+    lamellar_codec::varint::write_len(&mut reference, v.len());
+    for x in v {
+        reference.extend_from_slice(&le(x));
+    }
+    let v = v.to_vec();
+    assert_eq!(v.to_bytes(), reference, "bulk encoding differs from per-element");
+    assert_eq!(v.encoded_len(), reference.len());
+    let back = Vec::<T>::from_bytes(&reference).expect("bulk decode");
+    assert_eq!(back.len(), v.len());
+    assert!(back.iter().zip(&v).all(|(a, b)| le(a) == le(b)), "bulk round trip changed a value");
+}
+
+proptest! {
+    #[test]
+    fn bulk_u8(v: Vec<u8>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_u16(v: Vec<u16>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_u32(v: Vec<u32>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_u64(v: Vec<u64>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_u128(v: Vec<(u64, u64)>) {
+        let v: Vec<u128> = v.iter().map(|&(hi, lo)| (hi as u128) << 64 | lo as u128).collect();
+        bulk_matches_reference(&v, |x| x.to_le_bytes());
+    }
+
+    #[test]
+    fn bulk_i8(v: Vec<i8>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_i16(v: Vec<i16>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_i32(v: Vec<i32>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_i64(v: Vec<i64>) { bulk_matches_reference(&v, |x| x.to_le_bytes()); }
+
+    #[test]
+    fn bulk_i128(v: Vec<(i64, u64)>) {
+        let v: Vec<i128> = v.iter().map(|&(hi, lo)| (hi as i128) << 64 | lo as i128).collect();
+        bulk_matches_reference(&v, |x| x.to_le_bytes());
+    }
+
+    #[test]
+    fn bulk_f32(bits: Vec<u32>) {
+        let v: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+        bulk_matches_reference(&v, |x| x.to_bits().to_le_bytes());
+    }
+
+    #[test]
+    fn bulk_f64(bits: Vec<u64>) {
+        let v: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+        bulk_matches_reference(&v, |x| x.to_bits().to_le_bytes());
+    }
+
+    #[test]
+    fn bulk_usize(v: Vec<usize>) { bulk_matches_reference(&v, |x| (*x as u64).to_le_bytes()); }
+
+    #[test]
+    fn bulk_isize(v: Vec<isize>) { bulk_matches_reference(&v, |x| (*x as i64).to_le_bytes()); }
+
+    /// Batch-sized runs, as the array layer ships them.
+    #[test]
+    fn bulk_long_u32(v in proptest::collection::vec(any::<u32>(), 0..4096)) {
+        bulk_matches_reference(&v, |x| x.to_le_bytes());
+    }
+
+    /// Every proper prefix of a valid stream is an error, never a panic.
+    #[test]
+    fn every_truncation_is_an_error(
+        idx: Vec<u32>,
+        vals: Vec<u64>,
+        words: Vec<usize>,
+        bits: Vec<u32>,
+        flags: Vec<bool>,
+        label in ".*",
+    ) {
+        let floats: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+        let v = (idx, vals, words, floats, flags, label.to_string());
+        let bytes = v.to_bytes();
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                <(Vec<u32>, Vec<u64>, Vec<usize>, Vec<f32>, Vec<bool>, String)>::from_bytes(
+                    &bytes[..cut]
+                )
+                .is_err(),
+                "prefix of {} / {} bytes decoded",
+                cut,
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn vec_bool_and_char_still_validate_each_element() {
+    let mut bytes = vec![true, false, true].to_bytes();
+    bytes[2] = 2;
+    assert!(matches!(
+        Vec::<bool>::from_bytes(&bytes),
+        Err(lamellar_codec::CodecError::InvalidDiscriminant { type_name: "bool", value: 2 })
+    ));
+    let mut bytes = vec!['a', 'λ'].to_bytes();
+    bytes[5..9].copy_from_slice(&0xD800u32.to_le_bytes());
+    assert_eq!(
+        Vec::<char>::from_bytes(&bytes),
+        Err(lamellar_codec::CodecError::InvalidChar(0xD800))
+    );
+}
+
+/// Counts the bytes each thread asks the allocator for, so a test can show
+/// that a decode allocated nothing large.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: forwards every call to the system allocator unchanged.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|c| c.set(c.get() + layout.size()));
+        std::alloc::System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn bytes_allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATED.with(|c| c.get());
+    let out = f();
+    (out, ALLOCATED.with(|c| c.get()) - before)
+}
+
+#[test]
+fn corrupt_length_prefix_is_eof_and_allocates_nothing_large() {
+    fn check<T: Codec + std::fmt::Debug>() {
+        for claimed in [4, 1000, 1 << 20, lamellar_codec::varint::DEFAULT_MAX_LEN as usize] {
+            let mut bytes = Vec::new();
+            lamellar_codec::varint::write_len(&mut bytes, claimed);
+            bytes.extend_from_slice(&[1, 2, 3]);
+            let (res, allocated) = bytes_allocated_by(|| Vec::<T>::from_bytes(&bytes));
+            assert!(
+                matches!(res, Err(lamellar_codec::CodecError::UnexpectedEof { .. })),
+                "{}: claimed {claimed}, got {res:?}",
+                std::any::type_name::<T>()
+            );
+            assert!(
+                allocated < 4096,
+                "{}: a {claimed}-element prefix over 3 bytes allocated {allocated} bytes",
+                std::any::type_name::<T>()
+            );
+        }
+    }
+    check::<u16>();
+    check::<u32>();
+    check::<u64>();
+    check::<u128>();
+    check::<i32>();
+    check::<f32>();
+    check::<f64>();
+    check::<usize>();
+    check::<isize>();
+    check::<char>();
+    // Called directly, a length whose byte count overflows is still EOF.
+    let (res, allocated) =
+        bytes_allocated_by(|| u64::decode_vec(&mut Reader::new(&[1, 2, 3]), usize::MAX));
+    assert!(matches!(res, Err(lamellar_codec::CodecError::UnexpectedEof { .. })), "{res:?}");
+    assert!(allocated < 4096);
+}

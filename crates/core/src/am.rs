@@ -72,20 +72,46 @@ impl<A: LamellarAm> LamellarAm for UnitAm<A> {
     }
 }
 
-/// Type-erased executor stored in the registry: decode payload, run, encode
-/// output.
-pub type ErasedExec =
-    fn(
-        &[u8],
-        AmContext,
-    ) -> Result<Pin<Box<dyn Future<Output = Vec<u8>> + Send + 'static>>, CodecError>;
+/// An AM's typed output, erased so the runtime can size it and encode it
+/// later, straight into the reply frame.
+///
+/// Blanket-implemented for every `Codec + Send` type, so
+/// `Box<dyn AmOutput>` carries any `LamellarAm::Output`. Boxing a
+/// zero-sized output such as `()` does not allocate, so unit AMs pay
+/// nothing for the erasure.
+pub trait AmOutput: Send {
+    /// Exact encoded size ([`Codec::encoded_len`]).
+    fn encoded_len(&self) -> usize;
+    /// Append the encoding ([`Codec::encode`]).
+    fn encode(&self, buf: &mut Vec<u8>);
+}
+
+impl<T: Codec + Send> AmOutput for T {
+    fn encoded_len(&self) -> usize {
+        Codec::encoded_len(self)
+    }
+    fn encode(&self, buf: &mut Vec<u8>) {
+        Codec::encode(self, buf)
+    }
+}
+
+/// The running form of an inbound AM: resolves to its output, still
+/// unencoded.
+pub type AmFuture = Pin<Box<dyn Future<Output = Box<dyn AmOutput>> + Send + 'static>>;
+
+/// Type-erased executor stored in the registry: decode the payload into
+/// the typed AM and start it. The future yields the output as a
+/// `Box<dyn AmOutput>`; the runtime encodes a tracked AM's output only
+/// once, in place, when it frames the reply (a unit AM's `()` is never
+/// encoded), so an output too large for the wire is dropped unencoded.
+pub type ErasedExec = fn(&[u8], AmContext) -> Result<AmFuture, CodecError>;
 
 /// One registry entry.
 #[derive(Clone, Copy)]
 pub struct AmVTable {
     /// Fully-qualified type name (collision diagnostics).
     pub name: &'static str,
-    /// The erased decode-execute-encode function.
+    /// The erased decode-and-start function (see [`ErasedExec`]).
     pub exec: ErasedExec,
 }
 
@@ -94,12 +120,9 @@ fn registry() -> &'static RwLock<HashMap<u64, AmVTable>> {
     REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn exec_erased<T: LamellarAm>(
-    payload: &[u8],
-    ctx: AmContext,
-) -> Result<Pin<Box<dyn Future<Output = Vec<u8>> + Send + 'static>>, CodecError> {
+fn exec_erased<T: LamellarAm>(payload: &[u8], ctx: AmContext) -> Result<AmFuture, CodecError> {
     let am = T::from_bytes(payload)?;
-    Ok(Box::pin(async move { am.exec(ctx).await.to_bytes() }))
+    Ok(Box::pin(async move { Box::new(am.exec(ctx).await) as Box<dyn AmOutput> }))
 }
 
 /// The stable identifier for an AM type (what the paper's `#[am]` macro

@@ -16,7 +16,7 @@
 //!   payload copies.
 //!
 //! The hot *send* path never materializes an `Envelope` either: the
-//! [`frame_request_with`]/[`frame_reply`] helpers write the frame prefix and
+//! [`frame_request_with`]/[`frame_reply_with`] helpers write the frame prefix and
 //! envelope header straight into the destination aggregation buffer and let
 //! the caller encode the payload in place. [`Codec::encoded_len`] supplies
 //! the exact sizes up front so the varint prefixes can be written first.
@@ -296,16 +296,29 @@ pub fn framed_reply_len(payload_len: usize) -> usize {
     varint::len_u64(body as u64) + body
 }
 
-/// Frame an [`Envelope::Reply`] directly into `buf`: one copy of the encoded
-/// output, straight into the aggregation buffer.
-pub fn frame_reply(buf: &mut Vec<u8>, req_id: u64, payload: &[u8]) {
-    let body_len = reply_body_len(payload.len());
+/// Frame an [`Envelope::Reply`] directly into `buf` — the reply analogue of
+/// [`frame_request_with`]: `fill` encodes exactly `payload_len` bytes of
+/// the AM's output in place, so the output is written once, straight into
+/// the aggregation buffer.
+pub fn frame_reply_with(
+    buf: &mut Vec<u8>,
+    req_id: u64,
+    payload_len: usize,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
+    let body_len = reply_body_len(payload_len);
     buf.reserve(varint::len_u64(body_len as u64) + body_len);
     varint::write_len(buf, body_len);
     varint::write_u64(buf, DISC_REPLY);
     req_id.encode(buf);
-    varint::write_len(buf, payload.len());
-    buf.extend_from_slice(payload);
+    varint::write_len(buf, payload_len);
+    let start = buf.len();
+    fill(buf);
+    debug_assert_eq!(
+        buf.len() - start,
+        payload_len,
+        "frame_reply_with: fill wrote a different length than encoded_len promised"
+    );
 }
 
 /// Iterate the envelope *bodies* packed into one wire buffer without
@@ -501,10 +514,20 @@ mod tests {
             let mut owned = Vec::new();
             frame(&Envelope::Reply(42, payload.clone()), &mut owned);
             let mut inplace = Vec::new();
-            frame_reply(&mut inplace, 42, &payload);
+            frame_reply_with(&mut inplace, 42, payload.len(), |buf| {
+                buf.extend_from_slice(&payload)
+            });
             assert_eq!(owned, inplace);
             assert_eq!(owned.len(), framed_reply_len(payload.len()));
         }
+        // A typed output encoded in place frames the same bytes as its
+        // encode-then-copy form.
+        let out: Vec<u64> = (0..1000).collect();
+        let mut owned = Vec::new();
+        frame(&Envelope::Reply(7, out.to_bytes()), &mut owned);
+        let mut inplace = Vec::new();
+        frame_reply_with(&mut inplace, 7, out.encoded_len(), |buf| out.encode(buf));
+        assert_eq!(owned, inplace);
     }
 
     /// Pins the wire format: these bytes must never change (they are what a

@@ -20,8 +20,8 @@
 //! sent to it.
 
 use crate::am::{
-    am_id, lookup_am, register_am, AmError, AmHandle, AmOpts, CancelToken, IdempotentAm,
-    LamellarAm, MultiAmHandle, RetryPolicy,
+    am_id, lookup_am, register_am, AmError, AmFuture, AmHandle, AmOpts, AmOutput, CancelToken,
+    IdempotentAm, LamellarAm, MultiAmHandle, RetryPolicy,
 };
 use crate::config::WatchdogConfig;
 use crate::lamellae::{CommError, Lamellae};
@@ -975,13 +975,14 @@ impl RuntimeInner {
         }
     }
 
-    /// Decode an inbound AM and return its (panic-guarded) erased future.
+    /// Decode an inbound AM and return its (panic-guarded) erased future,
+    /// or the text of the decode failure, naming the AM.
     fn decode_am(
         self: &Arc<Self>,
         am_id: u64,
         src_pe: usize,
         payload: &[u8],
-    ) -> CatchPanic<std::pin::Pin<Box<dyn Future<Output = Vec<u8>> + Send>>> {
+    ) -> Result<CatchPanic<AmFuture>, String> {
         self.am_metrics.record_received();
         let vtable = lookup_am(am_id).unwrap_or_else(|| {
             panic!("incoming AM with unregistered id {am_id:#x} — register_am on every PE")
@@ -990,9 +991,9 @@ impl RuntimeInner {
         // Deserialization runs under this runtime's context so Darcs inside
         // the payload can resolve. This typed decode is the first (and only)
         // point the payload bytes leave the receive buffer.
-        let fut = with_rt_context(self, || (vtable.exec)(payload, ctx))
-            .unwrap_or_else(|e| panic!("AM payload decode failed for {}: {e}", vtable.name));
-        CatchPanic(fut)
+        with_rt_context(self, || (vtable.exec)(payload, ctx))
+            .map(CatchPanic)
+            .map_err(|e| format!("AM payload decode failed for {}: {e}", vtable.name))
     }
 
     /// Claim one unit of this tick's inline-execution budget.
@@ -1021,6 +1022,10 @@ impl RuntimeInner {
     /// progress path (inline, within the tick's budget): no pool spawn, no
     /// task box churn, and a tracked reply is framed straight into the
     /// aggregation buffer. Anything else spills to the pool.
+    ///
+    /// A payload that fails to decode completes like a caught panic: a
+    /// tracked request answers `ReplyErr` with the decode error, a unit
+    /// request counts as served. It is counted in `am.decode_errors`.
     fn dispatch(
         self: &Arc<Self>,
         am_id: u64,
@@ -1029,7 +1034,13 @@ impl RuntimeInner {
         completion: Completion,
     ) {
         let payload_len = payload.len();
-        let mut fut = self.decode_am(am_id, src_pe, payload);
+        let mut fut = match self.decode_am(am_id, src_pe, payload) {
+            Ok(fut) => fut,
+            Err(msg) => {
+                self.am_metrics.record_decode_error();
+                return self.report(src_pe, completion, Err(msg));
+            }
+        };
         if self.inline_eligible(payload_len) {
             if let std::task::Poll::Ready(out) = poll_once(std::pin::Pin::new(&mut fut)) {
                 self.am_metrics.record_inline_exec();
@@ -1047,22 +1058,41 @@ impl RuntimeInner {
     }
 
     /// Report an executed inbound AM's outcome (`Err` carries a caught
-    /// panic's message) to its origin `src_pe`.
-    ///
-    /// * `Reply`: frame a `Reply` with the output, or a `ReplyErr` with the
-    ///   panic message — the worker survives and the caller gets a typed
-    ///   error instead of a stranded future. An output too large for one
-    ///   wire chunk also answers `ReplyErr`, carrying the
-    ///   [`CommError::MessageTooLarge`] text. A reply toward a dead origin
-    ///   is dropped (its future was already failed there).
-    /// * `Counted`: bump the per-source served count;
-    ///   [`RuntimeInner::flush_unit_acks`] conveys completion in bulk. A
-    ///   panicking unit AM still counts as served (the origin's `wait_all`
-    ///   must terminate); the panic is recorded, not reported.
-    fn complete(&self, src_pe: usize, completion: Completion, out: Result<Vec<u8>, String>) {
+    /// panic's message) to its origin `src_pe`, counting the panic.
+    fn complete(
+        self: &Arc<Self>,
+        src_pe: usize,
+        completion: Completion,
+        out: Result<Box<dyn AmOutput>, String>,
+    ) {
         if out.is_err() {
             self.am_metrics.record_panic_caught();
         }
+        self.report(src_pe, completion, out);
+    }
+
+    /// Convey an inbound AM's outcome (`Err` carries a failure message) to
+    /// its origin `src_pe`.
+    ///
+    /// * `Reply`: frame a `Reply` with the output, or a `ReplyErr` with the
+    ///   failure message — the worker survives and the caller gets a typed
+    ///   error instead of a stranded future. The output is sized first and
+    ///   then encoded once, in place, into the aggregation buffer. An
+    ///   output too large for one wire chunk is never encoded (so a Darc
+    ///   inside it is never pinned); it is dropped and the caller gets a
+    ///   `ReplyErr` carrying the [`CommError::MessageTooLarge`] text. A
+    ///   reply toward a dead origin is dropped (its future was already
+    ///   failed there).
+    /// * `Counted`: bump the per-source served count;
+    ///   [`RuntimeInner::flush_unit_acks`] conveys completion in bulk. A
+    ///   failed unit AM still counts as served (the origin's `wait_all`
+    ///   must terminate); the failure is recorded, not reported.
+    fn report(
+        self: &Arc<Self>,
+        src_pe: usize,
+        completion: Completion,
+        out: Result<Box<dyn AmOutput>, String>,
+    ) {
         let req_id = match completion {
             Completion::Counted => {
                 self.unit_served[src_pe].fetch_add(1, Ordering::AcqRel);
@@ -1072,14 +1102,22 @@ impl RuntimeInner {
         };
         self.am_metrics.record_reply_sent();
         let msg = match out {
-            Ok(bytes) => match self.lamellae.send_with(
-                src_pe,
-                proto::framed_reply_len(bytes.len()),
-                &mut |buf| proto::frame_reply(buf, req_id, &bytes),
-            ) {
-                Err(e @ CommError::MessageTooLarge { .. }) => e.to_string(),
-                _ => return,
-            },
+            Ok(out) => {
+                let len = out.encoded_len();
+                let sent =
+                    self.lamellae.send_with(src_pe, proto::framed_reply_len(len), &mut |buf| {
+                        proto::frame_reply_with(buf, req_id, len, |b| {
+                            with_rt_context(self, || out.encode(b))
+                        })
+                    });
+                // Release the output (and any Darc it holds) before a
+                // `ReplyErr` can reach the origin.
+                drop(out);
+                match sent {
+                    Err(e @ CommError::MessageTooLarge { .. }) => e.to_string(),
+                    _ => return,
+                }
+            }
             Err(msg) => msg,
         };
         let env = Envelope::ReplyErr(req_id, msg);

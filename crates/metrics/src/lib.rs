@@ -517,6 +517,9 @@ layer! {
         /// An AM handler's `exec` panicked and was caught on this (serving)
         /// PE; the caller was sent an error reply instead.
         panics_caught: Counter => record_panic_caught(),
+        /// An inbound AM's payload failed to decode on this (serving) PE;
+        /// it completed with an error reply (tracked) or as served (unit).
+        decode_errors: Counter => record_decode_error(),
         /// A pending AM was resolved to `Err(Timeout)` after its deadline
         /// (and any retries) expired.
         timeouts: Counter => record_timeout(),
@@ -672,6 +675,7 @@ mod tests {
         a.record_darc_created();
         a.record_darc_dropped();
         a.record_panic_caught();
+        a.record_decode_error();
         a.record_timeout();
         a.record_retry();
         a.record_cancelled();
@@ -780,6 +784,7 @@ mod tests {
                     darcs_created,
                     darcs_dropped,
                     panics_caught,
+                    decode_errors,
                     timeouts,
                     retries,
                     cancelled,
@@ -814,7 +819,7 @@ mod tests {
                 assert!(value != "0" && value != "-", "{layer} {name} not recorded: {row}");
             }
         }
-        assert_eq!(table.lines().count(), 2 + 50, "one row per field:\n{table}");
+        assert_eq!(table.lines().count(), 2 + 51, "one row per field:\n{table}");
     }
 
     #[test]

@@ -29,7 +29,9 @@ echo "==> ablation_faultplane smoke (reliable transport end to end under loss, b
 cargo run --release -p lamellar-bench --bin ablation_faultplane -- --msgs 5000 --payload 64
 
 echo "==> paper-figure smoke (Smp and Rofi worlds, exstack2 over the raw queue, the rofi shim with the cost model)"
+cargo run --release -p lamellar-bench --bin fig3_histogram -- --pes 1,2 --scale 2000 --reps 1
 cargo run --release -p lamellar-bench --bin fig4_indexgather -- --pes 1,2 --scale 2000 --reps 1
+cargo run --release -p lamellar-bench --bin fig5_randperm -- --pes 1,2 --scale 2000 --reps 1
 cargo run --release -p lamellar-bench --bin fig2_bandwidth -- --max-mb 1 --budget-mb 1
 
 echo "==> cargo build --release perfbench (the performance ledger still compiles)"

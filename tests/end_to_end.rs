@@ -39,6 +39,33 @@ fn ams_darcs_and_arrays_compose() {
     });
 }
 
+lamellar_core::am! {
+    /// Returns `len` values derived from the serving PE, so the reply
+    /// carries a bulk-encoded `Vec<u64>`.
+    pub struct RangeAm { pub len: u64 }
+    exec(am, ctx) -> Vec<u64> {
+        let base = 1_000_000 * ctx.current_pe() as u64;
+        (0..am.len).map(|i| base + i * 3).collect()
+    }
+}
+
+/// Tracked replies of 0, 1 and 10 000 `u64`s are encoded straight into the
+/// reply frame and round-trip intact, both remote and local.
+#[test]
+fn tracked_vec_replies_round_trip() {
+    launch(2, |world| {
+        for dst in 0..world.num_pes() {
+            for len in [0u64, 1, 10_000] {
+                let out = world.block_on(world.exec_am_pe(dst, RangeAm { len }));
+                let base = 1_000_000 * dst as u64;
+                assert_eq!(out, (0..len).map(|i| base + i * 3).collect::<Vec<_>>());
+            }
+        }
+        world.wait_all();
+        world.barrier();
+    });
+}
+
 #[test]
 fn histogram_kernel_small_end_to_end() {
     let cfg = bale_suite::common::TableConfig::test_small();

@@ -6,11 +6,13 @@
 //! never hangs the caller — the failure surfaces as a typed `AmError`
 //! within bounded time, and `wait_all` always terminates.
 
-use lamellar_core::am::{AmError, AmOpts};
+use lamellar_codec::{CodecError, Reader};
+use lamellar_core::am::{AmError, AmOpts, UnitAm};
 use lamellar_core::config::WatchdogConfig;
 use lamellar_repro::prelude::*;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
@@ -289,6 +291,141 @@ fn oversized_reply_is_a_typed_error_and_the_server_survives() {
         world.wait_all();
         world.barrier();
     });
+}
+
+/// The largest `BigReplyAm` output whose framed reply fits one wire chunk
+/// resolves `Ok`; one byte more answers the `MessageTooLarge` error, and
+/// the server keeps serving.
+#[test]
+fn reply_at_the_chunk_limit_fits_and_one_byte_more_is_a_typed_error() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    // No fault plane, so no chunk header: one reply may fill the buffer.
+    let max = cfg.clone().resolve().buffer_size;
+    let framed = |len: usize| lamellar_core::proto::framed_reply_len(vec![0u8; len].encoded_len());
+    let fit = (0..max).rev().find(|&len| framed(len) <= max).expect("some reply fits");
+    assert!(framed(fit + 1) > max);
+    lamellar_core::world::launch_with_config(cfg, move |world| {
+        if world.my_pe() == 0 {
+            let ok = world.block_on(world.exec_am_pe(1, BigReplyAm { len: fit as u64 }).fallible());
+            assert_eq!(ok.expect("an exact-fit reply is delivered").len(), fit);
+            let too_big = world.exec_am_pe(1, BigReplyAm { len: fit as u64 + 1 }).fallible();
+            let msg = world.block_on(too_big).expect_err("one byte over the chunk").to_string();
+            assert!(msg.contains("exceeds wire buffer capacity"), "error text: {msg}");
+            assert_eq!(world.block_on(world.exec_am_pe(1, EchoAm { tag: 4 })), (4, 1));
+        }
+        world.wait_all();
+        world.barrier();
+    });
+}
+
+/// Counts how many `Probe` instances have been dropped.
+static PROBES_DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+/// A Darc payload whose drop is observable.
+#[derive(Debug)]
+pub struct Probe;
+
+impl Drop for Probe {
+    fn drop(&mut self) {
+        PROBES_DROPPED.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+lamellar_core::am! {
+    /// Hands the Darc it carries back in a reply made too large for one
+    /// wire chunk by `len` padding bytes.
+    pub struct BigDarcReplyAm { pub darc: Darc<Probe>, pub len: u64 }
+    exec(am, _ctx) -> (Darc<Probe>, Vec<u8>) {
+        (am.darc, vec![0u8; am.len as usize])
+    }
+}
+
+/// An oversized reply that carries a Darc must not pin it: once the caller
+/// has its error and every PE has dropped its handles, the Darc's
+/// instances are dropped.
+#[test]
+fn oversized_reply_carrying_a_darc_does_not_pin_it() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    lamellar_core::world::launch_with_config(cfg, |world| {
+        let darc = Darc::new(&world.team(), Probe);
+        if world.my_pe() == 0 {
+            let am = BigDarcReplyAm { darc: darc.clone(), len: 400 * 1024 };
+            let out = world.block_on(world.exec_am_pe(1, am).fallible());
+            let msg = out.expect_err("a 400 KiB reply cannot fit one wire chunk").to_string();
+            assert!(msg.contains("exceeds wire buffer capacity"), "error text: {msg}");
+        }
+        drop(darc);
+        world.wait_all();
+        world.barrier();
+        assert_eq!(
+            PROBES_DROPPED.load(Ordering::SeqCst),
+            2,
+            "PE{}: the Darc outlived every handle (pinned by the unsent reply)",
+            world.my_pe()
+        );
+        world.barrier();
+    });
+}
+
+/// Decodes like a one-field AM, but fails when `poison` is set: a payload
+/// the serving PE cannot decode.
+#[derive(Clone, Debug)]
+pub struct PoisonAm {
+    pub poison: bool,
+}
+
+impl Codec for PoisonAm {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.poison.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match bool::decode(r)? {
+            true => Err(CodecError::InvalidDiscriminant { type_name: "PoisonAm", value: 1 }),
+            false => Ok(PoisonAm { poison: false }),
+        }
+    }
+}
+
+impl LamellarAm for PoisonAm {
+    type Output = u64;
+    async fn exec(self, _ctx: AmContext) -> u64 {
+        5
+    }
+}
+
+/// A payload that fails to decode no longer panics the serving PE's
+/// progress thread: a tracked request answers an error naming the AM and
+/// the decode error, a unit request counts as served, and both are
+/// counted in `decode_errors` (not `panics_caught`).
+#[test]
+fn undecodable_payload_is_an_error_reply_not_a_dead_progress_thread() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    let stats = lamellar_core::world::launch_with_config(cfg, |world| {
+        let before = world.stats();
+        if world.my_pe() == 0 {
+            let out = world.block_on(world.exec_am_pe(1, PoisonAm { poison: true }).fallible());
+            match out {
+                Err(AmError::RemotePanic { pe: 1, msg }) => {
+                    assert!(msg.contains("PoisonAm"), "error should name the AM: {msg}");
+                    assert!(msg.contains("invalid discriminant 1"), "error text: {msg}");
+                }
+                other => panic!("expected a decode error reply, got {other:?}"),
+            }
+            world.exec_unit_am_pe(1, UnitAm(PoisonAm { poison: true }));
+            world.wait_all();
+            assert_eq!(world.block_on(world.exec_am_pe(1, PoisonAm { poison: false })), 5);
+            assert_eq!(world.block_on(world.exec_am_pe(1, EchoAm { tag: 9 })), (9, 1));
+        }
+        world.wait_all();
+        world.barrier();
+        world.stats().delta(&before)
+    });
+    assert_eq!(stats[1].am.decode_errors, 2, "PE1 counted both undecodable payloads");
+    assert_eq!(stats[1].am.panics_caught, 0, "a decode error is not a handler panic");
+    assert_eq!(stats[0].am.decode_errors, 0);
 }
 
 /// Returns `Pending` once (waking itself), then `Ready`: an AM awaiting it
