@@ -16,7 +16,7 @@
 
 use lamellar_bench::{arg_usize, ResultTable};
 use lamellar_core::lamellae::queue::{queue_footprint, QueueTransport};
-use lamellar_core::proto;
+use lamellar_core::proto::{self, Envelope};
 use rofi_sim::fabric::{Fabric, FabricConfig};
 use rofi_sim::{FaultConfig, FaultPlane, NetConfig};
 use std::sync::Arc;
@@ -64,22 +64,19 @@ fn run(h: &Harness, msgs: usize, payload: &[u8]) -> (f64, u64, u64) {
     let mut delivered = 0usize;
     let t0 = Instant::now();
     for seq in 0..msgs {
-        h.q0.send_with(1, proto::framed_request_len(payload.len()), &mut |buf| {
-            proto::frame_request_with(buf, 1, seq as u64, 0, payload.len(), |b| {
-                b.extend_from_slice(payload)
-            });
-        })
-        .expect("payload fits a wire chunk");
+        let env = Envelope::Request { am_id: 1, req_id: seq as u64, payload };
+        h.q0.send_with(1, env.framed_len(payload.len()), &mut |buf| env.frame(buf))
+            .expect("payload fits a wire chunk");
         if seq % 32 == 31 {
             h.q0.flush();
-            h.q1.progress(&mut |_, chunk| delivered += proto::deframe_raw(chunk).count());
+            h.q1.progress(&mut |_, chunk| delivered += proto::deframe(chunk).count());
         }
     }
     // Drain: retransmit timers only fire while the sender pumps, so keep
     // flushing until the window is empty and everything has landed.
     while delivered < msgs {
         h.q0.flush();
-        h.q1.progress(&mut |_, chunk| delivered += proto::deframe_raw(chunk).count());
+        h.q1.progress(&mut |_, chunk| delivered += proto::deframe(chunk).count());
     }
     let secs = t0.elapsed().as_secs_f64();
     let stats = h.q0.stats();

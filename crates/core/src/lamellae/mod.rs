@@ -238,8 +238,18 @@ impl Lamellae {
     }
 
     /// Release a one-sided heap allocation on `pe`.
-    pub fn free_heap(&self, pe: usize, offset: usize) {
-        self.ep.fabric().free_heap(pe, offset).expect("invalid heap free");
+    ///
+    /// # Errors
+    /// [`FabricError::InvalidFree`] when `offset` is not live on that heap.
+    pub fn free_heap(&self, pe: usize, offset: usize) -> Result<(), FabricError> {
+        self.ep.fabric().free_heap(pe, offset)
+    }
+
+    /// Bytes in each PE's one-sided heap (the same on every PE): no staged
+    /// payload can be larger.
+    pub(crate) fn heap_len(&self) -> usize {
+        let fabric = self.ep.fabric();
+        fabric.arena(self.ep.pe()).map_or(0, |arena| arena.len() - fabric.sym_len())
     }
 
     /// One-sided RDMA write of `src` into `pe`'s memory at `offset`.
@@ -255,11 +265,13 @@ impl Lamellae {
     /// One-sided RDMA read from `pe`'s memory at `offset`.
     ///
     /// # Safety
-    /// No PE may concurrently write the source range; the range must be a
-    /// live allocation.
-    pub unsafe fn get(&self, pe: usize, offset: usize, dst: &mut [u8]) {
+    /// No PE may concurrently write the source range.
+    ///
+    /// # Errors
+    /// [`FabricError::OutOfBounds`] when the range exceeds `pe`'s memory.
+    pub unsafe fn get(&self, pe: usize, offset: usize, dst: &mut [u8]) -> Result<(), FabricError> {
         // SAFETY: contract forwarded to the caller.
-        unsafe { self.ep.get(pe, offset, dst).expect("rdma get") }
+        unsafe { self.ep.get(pe, offset, dst) }
     }
 
     /// Base pointer of `pe`'s memory region (for constructing local slices
@@ -364,10 +376,11 @@ mod tests {
         unsafe {
             lam.put(0, off, &[9, 8, 7]);
             let mut out = [0u8; 3];
-            lam.get(0, off, &mut out);
+            lam.get(0, off, &mut out).unwrap();
             assert_eq!(out, [9, 8, 7]);
         }
-        lam.free_heap(0, off);
+        lam.free_heap(0, off).unwrap();
+        assert!(lam.free_heap(0, off).is_err(), "a second free names a dead offset");
         let s = lam.alloc_symmetric(128, 8).unwrap();
         lam.free_symmetric(s);
         // Barrier is a no-op with one PE.

@@ -185,7 +185,7 @@ impl<T: Dist> SharedMemoryRegion<T> {
         };
         // SAFETY: bounds checked; no-concurrent-writer is the caller's
         // contract.
-        unsafe { self.rt.lamellae().get(src_pe, self.raw_offset(index), bytes) };
+        unsafe { self.rt.lamellae().get(src_pe, self.raw_offset(index), bytes) }.expect("rdma get");
     }
 
     /// Borrow the local PE's block.
@@ -290,7 +290,9 @@ struct OneSidedState {
 
 impl Drop for OneSidedState {
     fn drop(&mut self) {
-        self.rt.lamellae().free_heap(self.origin_pe, self.offset);
+        // A `Drop` must not panic; a free that fails finds nothing left to
+        // release.
+        let _ = self.rt.lamellae().free_heap(self.origin_pe, self.offset);
         if let Some(shared) = self.shared.upgrade() {
             shared.unregister_trackable(self.id);
         }
@@ -390,7 +392,7 @@ impl<T: Dist> OneSidedMemoryRegion<T> {
         let off = self.state.offset + index * std::mem::size_of::<T>();
         // SAFETY: bounds checked; no-concurrent-writer is the caller's
         // contract.
-        unsafe { self.rt.lamellae().get(self.state.origin_pe, off, bytes) };
+        unsafe { self.rt.lamellae().get(self.state.origin_pe, off, bytes) }.expect("rdma get");
     }
 
     /// Borrow the block directly (only on the origin PE).

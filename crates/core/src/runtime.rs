@@ -25,12 +25,13 @@ use crate::am::{
 };
 use crate::config::WatchdogConfig;
 use crate::lamellae::{CommError, Lamellae};
-use crate::proto::{self, frame, Envelope, EnvelopeView};
+use crate::proto::{self, Envelope};
 use crate::world::WorldShared;
 use lamellar_codec::Codec;
 use lamellar_executor::{oneshot, Backoff, ExpBackoff, JoinHandle, ThreadPool};
 use lamellar_metrics::{AmMetrics, RuntimeStats};
 use parking_lot::Mutex;
+use std::any::type_name;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::Future;
@@ -516,10 +517,8 @@ impl RuntimeInner {
                     .compare_exchange(sent, served, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                let _ =
-                    self.lamellae.send_with(src, proto::framed_ack_count_len(served), &mut |buf| {
-                        proto::frame_ack_count(buf, served)
-                    });
+                let ack = Envelope::AckCount { n: served };
+                let _ = self.lamellae.send_with(src, ack.framed_len(0), &mut |buf| ack.frame(buf));
             }
         }
     }
@@ -551,8 +550,13 @@ impl RuntimeInner {
             req_id,
             dst,
             Box::new(move |result| {
-                let out = result.map(|bytes| {
-                    with_rt_context(&rt, || T::Output::from_bytes(bytes).expect("AM reply decode"))
+                // An undecodable reply fails this future, not the ticker.
+                let out = result.and_then(|bytes| {
+                    with_rt_context(&rt, || T::Output::from_bytes(bytes)).map_err(|e| {
+                        rt.am_metrics.record_decode_error();
+                        let msg = format!("AM reply decode failed for {}: {e}", type_name::<T>());
+                        AmError::RemotePanic { pe: dst, msg }
+                    })
                 });
                 tx.send(out);
                 rt.my_pending.fetch_sub(1, Ordering::AcqRel);
@@ -606,64 +610,40 @@ impl RuntimeInner {
         am: &T,
     ) -> Result<(), CommError> {
         self.am_metrics.record_sent();
-        let encode = |b: &mut Vec<u8>| with_rt_context(self, || am.encode(b));
-        let req_id = match completion {
-            Completion::Counted => {
-                return self.lamellae.send_with(
-                    dst,
-                    proto::framed_request_unit_len(payload_len),
-                    &mut |buf| {
-                        proto::frame_request_unit_with(
-                            buf,
-                            am_id::<T>(),
-                            self.pe as u64,
-                            payload_len,
-                            encode,
-                        )
-                    },
-                );
+        let am_id = am_id::<T>();
+        let env = match completion {
+            Completion::Counted => Envelope::RequestUnit { am_id, payload: &[] },
+            Completion::Reply { req_id } if payload_len <= self.large_threshold => {
+                Envelope::Request { am_id, req_id, payload: &[] }
             }
-            Completion::Reply { req_id } => req_id,
+            Completion::Reply { req_id } => {
+                // Stage the payload in the one-sided heap; the receiver
+                // RDMA-gets it and sends FreeHeap back.
+                let payload = with_rt_context(self, || am.to_bytes());
+                debug_assert_eq!(payload.len(), payload_len, "encoded_len disagrees with encode");
+                // On failure the request never leaves this PE: the caller
+                // fails the future instead of hanging.
+                let off = self.lamellae.alloc_heap(payload.len(), 8)?;
+                // SAFETY: freshly allocated, private until the receiver is
+                // told about it, freed only on FreeHeap.
+                unsafe { self.lamellae.put(self.pe, off, &payload) };
+                let len = payload.len() as u64;
+                let env = Envelope::LargeRequest { am_id, req_id, heap_offset: off as u64, len };
+                let sent =
+                    self.lamellae.send_with(dst, env.framed_len(0), &mut |buf| env.frame(buf));
+                if sent.is_err() {
+                    // Freeing the allocation just made cannot fail.
+                    let _ = self.lamellae.free_heap(self.pe, off);
+                }
+                return sent;
+            }
         };
-        if payload_len > self.large_threshold {
-            // Stage the payload in the one-sided heap; the receiver
-            // RDMA-gets it and sends FreeHeap back.
-            let payload = with_rt_context(self, || am.to_bytes());
-            debug_assert_eq!(payload.len(), payload_len, "encoded_len disagrees with encode");
-            // On failure the request never leaves this PE: the caller fails
-            // the future instead of hanging.
-            let off = self.lamellae.alloc_heap(payload.len(), 8)?;
-            // SAFETY: freshly allocated, private until the receiver is
-            // told about it, freed only on FreeHeap.
-            unsafe { self.lamellae.put(self.pe, off, &payload) };
-            let env = Envelope::LargeRequest(
-                am_id::<T>(),
-                req_id,
-                self.pe as u64,
-                off as u64,
-                payload.len() as u64,
-            );
-            if let Err(e) =
-                self.lamellae.send_with(dst, proto::framed_len(&env), &mut |buf| frame(&env, buf))
-            {
-                self.lamellae.free_heap(self.pe, off);
-                return Err(e);
-            }
-            Ok(())
-        } else {
-            // Zero-copy send: the AM encodes straight into the
-            // aggregation buffer, no intermediate payload or frame Vec.
-            self.lamellae.send_with(dst, proto::framed_request_len(payload_len), &mut |buf| {
-                proto::frame_request_with(
-                    buf,
-                    am_id::<T>(),
-                    req_id,
-                    self.pe as u64,
-                    payload_len,
-                    encode,
-                )
-            })
-        }
+        // Zero-copy send: the AM encodes straight into the aggregation
+        // buffer, no intermediate payload or frame Vec.
+        let encode = |b: &mut Vec<u8>| with_rt_context(self, || am.encode(b));
+        self.lamellae.send_with(dst, env.framed_len(payload_len), &mut |buf| {
+            env.frame_with(buf, payload_len, encode)
+        })
     }
 
     /// Register a deadline for an in-flight request. The first window is
@@ -889,9 +869,11 @@ impl RuntimeInner {
         self.inline_budget.store(INLINE_BUDGET_PER_TICK, Ordering::Relaxed);
         let rt = Arc::clone(self);
         let any = self.lamellae.progress(&mut |src, chunk| {
-            for body in proto::deframe_raw(chunk) {
-                let view = EnvelopeView::parse(body).expect("envelope decode");
-                rt.handle(src, view);
+            for env in proto::deframe(chunk) {
+                // A malformed frame loses the frame boundary: the rest of
+                // the chunk is dropped with it.
+                let Ok(env) = env else { return rt.am_metrics.record_decode_error() };
+                rt.handle(src, env);
             }
         });
         // Piggyback counted-completion credits onto whatever flushes next
@@ -929,33 +911,37 @@ impl RuntimeInner {
         WaitGuard::new(self)
     }
 
-    /// Dispatch one incoming envelope. The view borrows from the receive
-    /// buffer; data that must outlive this call (the AM future's state, the
-    /// typed reply value) is produced by the typed decode, not by copying
-    /// the raw bytes first.
-    fn handle(self: &Arc<Self>, wire_src: usize, env: EnvelopeView<'_>) {
+    /// Dispatch one incoming envelope from `src`, the PE the transport
+    /// received it from: a PE-local AM never serializes, so `src` is the
+    /// origin of every request and where its completion goes. The envelope
+    /// borrows from the receive buffer; data that must outlive this call
+    /// (the AM future's state, the typed reply value) is produced by the
+    /// typed decode, not by copying the raw bytes first.
+    fn handle(self: &Arc<Self>, src: usize, env: Envelope<'_>) {
         match env {
-            EnvelopeView::Request { am_id, req_id, src_pe, payload } => {
-                self.dispatch(am_id, src_pe as usize, payload, Completion::Reply { req_id });
+            Envelope::Request { am_id, req_id, payload } => {
+                self.dispatch(am_id, src, payload, Completion::Reply { req_id });
             }
-            EnvelopeView::RequestUnit { am_id, src_pe, payload } => {
-                self.dispatch(am_id, src_pe as usize, payload, Completion::Counted);
+            Envelope::RequestUnit { am_id, payload } => {
+                self.dispatch(am_id, src, payload, Completion::Counted);
             }
-            EnvelopeView::AckCount { n } => self.handle_ack(wire_src, n),
-            EnvelopeView::LargeRequest { am_id, req_id, src_pe, heap_offset, len } => {
-                let src_pe = src_pe as usize;
-                let mut payload = vec![0u8; len as usize];
-                // SAFETY: the sender staged [off, off+len) for us and will
-                // not touch it until our FreeHeap arrives.
-                unsafe { self.lamellae.get(src_pe, heap_offset as usize, &mut payload) };
-                // A dead origin cannot reclaim its staging buffer anyway.
-                let env = Envelope::FreeHeap(heap_offset);
-                let _ = self
-                    .lamellae
-                    .send_with(src_pe, proto::framed_len(&env), &mut |buf| frame(&env, buf));
-                self.dispatch(am_id, src_pe, &payload, Completion::Reply { req_id });
+            Envelope::AckCount { n } => self.handle_ack(src, n),
+            Envelope::LargeRequest { am_id, req_id, heap_offset, len } => {
+                let completion = Completion::Reply { req_id };
+                match self.fetch_staged(src, heap_offset, len) {
+                    Ok(payload) => {
+                        // A dead origin cannot reclaim its staging buffer
+                        // anyway.
+                        let free = Envelope::FreeHeap { offset: heap_offset };
+                        let _ = self
+                            .lamellae
+                            .send_with(src, free.framed_len(0), &mut |buf| free.frame(buf));
+                        self.dispatch(am_id, src, &payload, completion);
+                    }
+                    Err(msg) => self.reject(src, completion, msg),
+                }
             }
-            EnvelopeView::Reply { req_id, payload } => {
+            Envelope::Reply { req_id, payload } => {
                 // An absent entry is legal under faults: the request was
                 // already failed as PeerUnreachable (one direction died) and
                 // the reply limped home anyway. Drop it — the future has
@@ -964,19 +950,38 @@ impl RuntimeInner {
                 self.am_metrics.record_reply_received();
                 (p.reply)(Ok(payload));
             }
-            EnvelopeView::ReplyErr { req_id, msg } => {
+            Envelope::ReplyErr { req_id, msg } => {
                 let Some(p) = self.pending.remove(req_id) else { return };
                 self.am_metrics.record_reply_received();
                 (p.reply)(Err(AmError::RemotePanic { pe: p.dst, msg: msg.to_string() }));
             }
-            EnvelopeView::FreeHeap { offset } => {
-                self.lamellae.free_heap(self.pe, offset as usize);
+            Envelope::FreeHeap { offset } => {
+                if self.lamellae.free_heap(self.pe, offset as usize).is_err() {
+                    self.am_metrics.record_decode_error();
+                }
             }
         }
     }
 
+    /// Copy the payload `src` staged at `[offset, +len)` of its one-sided
+    /// heap for a `LargeRequest`. A length no heap can hold, or a range
+    /// outside `src`'s memory, is an error text, not an allocation or a
+    /// panic.
+    fn fetch_staged(&self, src: usize, offset: u64, len: u64) -> Result<Vec<u8>, String> {
+        let heap_len = self.lamellae.heap_len();
+        if len > heap_len as u64 {
+            return Err(format!("staged payload of {len} bytes exceeds the {heap_len}-byte heap"));
+        }
+        let mut payload = vec![0u8; len as usize];
+        // SAFETY: the sender staged the range for us and will not touch it
+        // until our FreeHeap arrives.
+        unsafe { self.lamellae.get(src, offset as usize, &mut payload) }
+            .map_err(|e| format!("staged payload fetch failed: {e}"))?;
+        Ok(payload)
+    }
+
     /// Decode an inbound AM and return its (panic-guarded) erased future,
-    /// or the text of the decode failure, naming the AM.
+    /// or the text of the failure, naming the AM or its unregistered id.
     fn decode_am(
         self: &Arc<Self>,
         am_id: u64,
@@ -984,9 +989,11 @@ impl RuntimeInner {
         payload: &[u8],
     ) -> Result<CatchPanic<AmFuture>, String> {
         self.am_metrics.record_received();
-        let vtable = lookup_am(am_id).unwrap_or_else(|| {
-            panic!("incoming AM with unregistered id {am_id:#x} — register_am on every PE")
-        });
+        let Some(vtable) = lookup_am(am_id) else {
+            return Err(format!(
+                "incoming AM with unregistered id {am_id:#x}: register_am on every PE"
+            ));
+        };
         let ctx = AmContext { rt: Arc::clone(self), src_pe };
         // Deserialization runs under this runtime's context so Darcs inside
         // the payload can resolve. This typed decode is the first (and only)
@@ -1023,9 +1030,10 @@ impl RuntimeInner {
     /// task box churn, and a tracked reply is framed straight into the
     /// aggregation buffer. Anything else spills to the pool.
     ///
-    /// A payload that fails to decode completes like a caught panic: a
-    /// tracked request answers `ReplyErr` with the decode error, a unit
-    /// request counts as served. It is counted in `am.decode_errors`.
+    /// A payload that fails to decode, or an AM id that is not registered,
+    /// completes like a caught panic: a tracked request answers `ReplyErr`
+    /// with the error, a unit request counts as served. It is counted in
+    /// `am.decode_errors`.
     fn dispatch(
         self: &Arc<Self>,
         am_id: u64,
@@ -1036,10 +1044,7 @@ impl RuntimeInner {
         let payload_len = payload.len();
         let mut fut = match self.decode_am(am_id, src_pe, payload) {
             Ok(fut) => fut,
-            Err(msg) => {
-                self.am_metrics.record_decode_error();
-                return self.report(src_pe, completion, Err(msg));
-            }
+            Err(msg) => return self.reject(src_pe, completion, msg),
         };
         if self.inline_eligible(payload_len) {
             if let std::task::Poll::Ready(out) = poll_once(std::pin::Pin::new(&mut fut)) {
@@ -1055,6 +1060,14 @@ impl RuntimeInner {
             rt.complete(src_pe, completion, out);
             rt.note_progress();
         }));
+    }
+
+    /// Answer a request that cannot run (undecodable or unregistered AM,
+    /// unfetchable staged payload) with `msg`, counting it in
+    /// `am.decode_errors`.
+    fn reject(self: &Arc<Self>, src_pe: usize, completion: Completion, msg: String) {
+        self.am_metrics.record_decode_error();
+        self.report(src_pe, completion, Err(msg));
     }
 
     /// Report an executed inbound AM's outcome (`Err` carries a caught
@@ -1104,12 +1117,10 @@ impl RuntimeInner {
         let msg = match out {
             Ok(out) => {
                 let len = out.encoded_len();
-                let sent =
-                    self.lamellae.send_with(src_pe, proto::framed_reply_len(len), &mut |buf| {
-                        proto::frame_reply_with(buf, req_id, len, |b| {
-                            with_rt_context(self, || out.encode(b))
-                        })
-                    });
+                let env = Envelope::Reply { req_id, payload: &[] };
+                let sent = self.lamellae.send_with(src_pe, env.framed_len(len), &mut |buf| {
+                    env.frame_with(buf, len, |b| with_rt_context(self, || out.encode(b)))
+                });
                 // Release the output (and any Darc it holds) before a
                 // `ReplyErr` can reach the origin.
                 drop(out);
@@ -1120,9 +1131,9 @@ impl RuntimeInner {
             }
             Err(msg) => msg,
         };
-        let env = Envelope::ReplyErr(req_id, msg);
+        let env = Envelope::ReplyErr { req_id, msg: &msg };
         let _ =
-            self.lamellae.send_with(src_pe, proto::framed_len(&env), &mut |buf| frame(&env, buf));
+            self.lamellae.send_with(src_pe, env.framed_len(msg.len()), &mut |buf| env.frame(buf));
     }
 
     /// Payload size (bytes) above which AM payloads take the heap-staging

@@ -219,7 +219,7 @@ fn region_memory_is_reclaimed_after_drop() {
         // Probe the heap allocator's next first-fit offset.
         let probe = |lam: &lamellar_core::lamellae::Lamellae| {
             let off = lam.alloc_heap(64, 8).unwrap();
-            lam.free_heap(rt.pe(), off);
+            lam.free_heap(rt.pe(), off).unwrap();
             off
         };
         let before = probe(lam);

@@ -4,23 +4,61 @@
 //! order.
 
 use lamellar_core::lamellae::queue::{queue_footprint, QueueTransport};
-use lamellar_core::proto::{deframe, frame, try_deframe_views, Envelope};
+use lamellar_core::proto::{deframe, Envelope};
 use proptest::prelude::*;
 use rofi_sim::fabric::{Fabric, FabricConfig};
 use rofi_sim::NetConfig;
 use std::sync::Arc;
 
-fn arb_envelope() -> impl Strategy<Value = Envelope> {
-    prop_oneof![
-        (any::<u64>(), any::<u64>(), 0u64..64, prop::collection::vec(any::<u8>(), 0..200))
-            .prop_map(|(a, r, s, p)| Envelope::Request(a, r, s, p)),
-        (any::<u64>(), prop::collection::vec(any::<u8>(), 0..200))
-            .prop_map(|(r, p)| Envelope::Reply(r, p)),
-        (any::<u64>(), any::<u64>(), 0u64..64, any::<u64>(), any::<u64>())
-            .prop_map(|(a, r, s, o, l)| Envelope::LargeRequest(a, r, s, o, l)),
-        any::<u64>().prop_map(Envelope::FreeHeap),
-        (any::<u64>(), ".{0,80}").prop_map(|(r, m)| Envelope::ReplyErr(r, m)),
-    ]
+/// Owned storage for one generated envelope — a variant index, header
+/// words and a byte run — which [`Spec::env`] borrows as an [`Envelope`].
+#[derive(Clone, Debug)]
+struct Spec {
+    kind: u8,
+    words: (u64, u64, u64, u64),
+    bytes: Vec<u8>,
+    text: String,
+}
+
+impl Spec {
+    fn env(&self) -> Envelope<'_> {
+        let (a, b, c, d) = self.words;
+        match self.kind {
+            0 => Envelope::Request { am_id: a, req_id: b, payload: &self.bytes },
+            1 => Envelope::Reply { req_id: a, payload: &self.bytes },
+            2 => Envelope::LargeRequest { am_id: a, req_id: b, heap_offset: c, len: d },
+            3 => Envelope::FreeHeap { offset: a },
+            4 => Envelope::ReplyErr { req_id: a, msg: &self.text },
+            5 => Envelope::RequestUnit { am_id: a, payload: &self.bytes },
+            _ => Envelope::AckCount { n: a },
+        }
+    }
+}
+
+fn arb_envelope() -> impl Strategy<Value = Spec> {
+    (
+        0u8..7,
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        prop::collection::vec(any::<u8>(), 0..200),
+        ".{0,80}",
+    )
+        .prop_map(|(kind, words, bytes, text)| Spec { kind, words, bytes, text })
+}
+
+/// Frame every envelope back-to-back, returning the stream and the offset
+/// of each frame boundary (0 and the end included).
+fn frame_all(specs: &[Spec]) -> (Vec<u8>, Vec<usize>) {
+    let mut buf = Vec::new();
+    let mut boundaries = vec![0];
+    for spec in specs {
+        spec.env().frame(&mut buf);
+        boundaries.push(buf.len());
+    }
+    (buf, boundaries)
+}
+
+fn envs(specs: &[Spec]) -> Vec<Envelope<'_>> {
+    specs.iter().map(Spec::env).collect()
 }
 
 proptest! {
@@ -29,97 +67,70 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn frame_stream_roundtrips(envs in prop::collection::vec(arb_envelope(), 0..20)) {
-        let mut buf = Vec::new();
-        for e in &envs {
-            frame(e, &mut buf);
-        }
-        let out: Vec<Envelope> = deframe(&buf).collect();
-        prop_assert_eq!(out, envs);
-    }
-
-    #[test]
-    fn view_stream_roundtrips(envs in prop::collection::vec(arb_envelope(), 0..20)) {
-        let mut buf = Vec::new();
-        for e in &envs {
-            frame(e, &mut buf);
-        }
-        let out: Vec<Envelope> = try_deframe_views(&buf)
-            .map(|v| v.expect("valid stream").to_owned())
-            .collect();
-        prop_assert_eq!(out, envs);
+    fn frame_stream_roundtrips(specs in prop::collection::vec(arb_envelope(), 0..20)) {
+        let (buf, _) = frame_all(&specs);
+        let out: Vec<Envelope<'_>> =
+            deframe(&buf).map(|env| env.expect("valid stream")).collect();
+        prop_assert_eq!(out, envs(&specs));
     }
 
     #[test]
     fn truncated_stream_errors_without_panicking(
-        envs in prop::collection::vec(arb_envelope(), 1..8),
+        specs in prop::collection::vec(arb_envelope(), 1..8),
         cut_permille in 0usize..1000,
     ) {
-        let mut buf = Vec::new();
-        for e in &envs {
-            frame(e, &mut buf);
-        }
+        let (buf, boundaries) = frame_all(&specs);
         // Cut strictly inside the stream: whatever decodes before the cut
         // must match a prefix of the input, and the first failure must be a
         // clean `Err`, never a panic or an out-of-bounds read.
         let cut = (buf.len() * cut_permille / 1000).min(buf.len().saturating_sub(1));
         let mut ok_prefix = Vec::new();
         let mut saw_err = false;
-        for item in try_deframe_views(&buf[..cut]) {
+        for item in deframe(&buf[..cut]) {
             match item {
-                Ok(v) => ok_prefix.push(v.to_owned()),
+                Ok(env) => ok_prefix.push(env),
                 Err(_) => { saw_err = true; }
             }
         }
-        prop_assert!(ok_prefix.len() <= envs.len());
-        prop_assert_eq!(&envs[..ok_prefix.len()], &ok_prefix[..]);
+        let want = envs(&specs);
+        prop_assert!(ok_prefix.len() <= want.len());
+        prop_assert_eq!(&want[..ok_prefix.len()], &ok_prefix[..]);
         // A cut mid-frame (not on a frame boundary) must surface an error.
-        let boundary = {
-            let mut offsets = vec![0usize];
-            let mut b = Vec::new();
-            for e in &envs {
-                frame(e, &mut b);
-                offsets.push(b.len());
-            }
-            offsets.contains(&cut)
-        };
-        prop_assert_eq!(saw_err, !boundary);
+        prop_assert_eq!(saw_err, !boundaries.contains(&cut));
     }
 
     #[test]
     fn garbage_never_panics_or_overreads(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
         // Arbitrary bytes: every yielded item is Ok or Err — the iterator
-        // must terminate and must never read past the slice (checked by
-        // running against an exact-length allocation under normal Rust
-        // bounds checking).
-        for item in try_deframe_views(&bytes) {
-            let _ = item;
-        }
+        // must terminate, must stop after its first `Err`, and must never
+        // read past the slice (checked by running against an exact-length
+        // allocation under normal Rust bounds checking).
+        let items: Vec<_> = deframe(&bytes).collect();
+        let before_last = items.len().saturating_sub(1);
+        prop_assert!(items[..before_last].iter().all(Result::is_ok));
     }
 
     #[test]
     fn valid_stream_with_garbage_suffix_errors(
-        envs in prop::collection::vec(arb_envelope(), 1..6),
+        specs in prop::collection::vec(arb_envelope(), 1..6),
         garbage in prop::collection::vec(any::<u8>(), 1..40),
     ) {
-        let mut buf = Vec::new();
-        for e in &envs {
-            frame(e, &mut buf);
-        }
+        let (mut buf, _) = frame_all(&specs);
         buf.extend_from_slice(&garbage);
         let mut decoded = Vec::new();
         let mut errored = false;
-        for item in try_deframe_views(&buf) {
+        for item in deframe(&buf) {
             match item {
-                Ok(v) => decoded.push(v.to_owned()),
+                Ok(env) => decoded.push(env),
                 Err(_) => { errored = true; }
             }
         }
         // Every genuine envelope may decode, but the suffix must not be
         // silently swallowed unless it happens to parse as valid frames.
-        prop_assert!(decoded.len() >= envs.len() || errored);
-        prop_assert_eq!(&decoded[..envs.len().min(decoded.len())],
-                        &envs[..envs.len().min(decoded.len())]);
+        let want = envs(&specs);
+        prop_assert!(decoded.len() >= want.len() || errored);
+        let n = want.len().min(decoded.len());
+        prop_assert_eq!(&decoded[..n], &want[..n]);
     }
 
     #[test]

@@ -517,8 +517,12 @@ layer! {
         /// An AM handler's `exec` panicked and was caught on this (serving)
         /// PE; the caller was sent an error reply instead.
         panics_caught: Counter => record_panic_caught(),
-        /// An inbound AM's payload failed to decode on this (serving) PE;
-        /// it completed with an error reply (tracked) or as served (unit).
+        /// Inbound bytes that failed to decode or validate on this PE: a
+        /// malformed frame (the rest of its chunk is dropped), a request
+        /// naming an unregistered AM or carrying an undecodable or
+        /// unfetchable payload (it completes with an error reply when
+        /// tracked, as served when unit), a `FreeHeap` naming no live
+        /// allocation, or a reply its caller cannot decode.
         decode_errors: Counter => record_decode_error(),
         /// A pending AM was resolved to `Err(Timeout)` after its deadline
         /// (and any retries) expired.

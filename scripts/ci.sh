@@ -46,6 +46,9 @@ echo "==> perf smoke: unit-AM histogram gate (aggregation factor, zero replies) 
 # and a 2-PE batch_add_ff histogram must run every served sub-batch inline.
 cargo test -q --release --test perf_smoke --test perf_smoke_array
 
+echo "==> receive-path fuzz in release (no overflow checks: the wire-length arithmetic runs as shipped)"
+cargo test -q --release --test receive_fuzz
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

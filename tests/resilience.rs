@@ -301,7 +301,8 @@ fn reply_at_the_chunk_limit_fits_and_one_byte_more_is_a_typed_error() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi);
     // No fault plane, so no chunk header: one reply may fill the buffer.
     let max = cfg.clone().resolve().buffer_size;
-    let framed = |len: usize| lamellar_core::proto::framed_reply_len(vec![0u8; len].encoded_len());
+    let reply = lamellar_core::proto::Envelope::Reply { req_id: 0, payload: &[] };
+    let framed = |len: usize| reply.framed_len(vec![0u8; len].encoded_len());
     let fit = (0..max).rev().find(|&len| framed(len) <= max).expect("some reply fits");
     assert!(framed(fit + 1) > max);
     lamellar_core::world::launch_with_config(cfg, move |world| {
@@ -426,6 +427,133 @@ fn undecodable_payload_is_an_error_reply_not_a_dead_progress_thread() {
     assert_eq!(stats[1].am.decode_errors, 2, "PE1 counted both undecodable payloads");
     assert_eq!(stats[1].am.panics_caught, 0, "a decode error is not a handler panic");
     assert_eq!(stats[0].am.decode_errors, 0);
+}
+
+/// Encodes like a `bool` but refuses to decode `true`: an AM output the
+/// calling PE cannot decode.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PoisonReply(pub bool);
+
+impl Codec for PoisonReply {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match bool::decode(r)? {
+            true => Err(CodecError::InvalidDiscriminant { type_name: "PoisonReply", value: 1 }),
+            false => Ok(PoisonReply(false)),
+        }
+    }
+}
+
+lamellar_core::am! {
+    /// Replies with an output its caller cannot decode when `poison` is set.
+    pub struct PoisonReplyAm { pub poison: bool }
+    exec(am, _ctx) -> PoisonReply {
+        PoisonReply(am.poison)
+    }
+}
+
+/// A reply the caller cannot decode resolves that caller's future to
+/// `Err(RemotePanic)` naming the AM and the decode error, counted in the
+/// caller's `decode_errors`; the caller's progress thread survives.
+#[test]
+fn undecodable_reply_is_an_error_not_a_dead_progress_thread() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    let stats = lamellar_core::world::launch_with_config(cfg, |world| {
+        let before = world.stats();
+        if world.my_pe() == 0 {
+            let out =
+                world.block_on(world.exec_am_pe(1, PoisonReplyAm { poison: true }).fallible());
+            match out {
+                Err(AmError::RemotePanic { pe: 1, msg }) => {
+                    assert!(msg.contains("PoisonReplyAm"), "error should name the AM: {msg}");
+                    assert!(msg.contains("invalid discriminant 1"), "error text: {msg}");
+                }
+                other => panic!("expected a reply decode error, got {other:?}"),
+            }
+            let healthy = world.exec_am_pe(1, PoisonReplyAm { poison: false });
+            assert_eq!(world.block_on(healthy), PoisonReply(false));
+            assert_eq!(world.block_on(world.exec_am_pe(1, EchoAm { tag: 4 })), (4, 1));
+        }
+        world.wait_all();
+        world.barrier();
+        world.stats().delta(&before)
+    });
+    assert_eq!(stats[0].am.decode_errors, 1, "PE0 counted the undecodable reply");
+    assert_eq!(stats[1].am.decode_errors, 0, "PE1 encoded a valid reply");
+    assert_eq!(stats[1].am.panics_caught, 0);
+}
+
+/// One envelope body as it goes on the wire: the discriminant, fixed-width
+/// little-endian header words, and an optional length-prefixed byte run.
+/// Built by hand, not by the protocol module under test.
+fn raw_body(disc: u8, words: &[u64], tail: Option<&[u8]>) -> Vec<u8> {
+    let mut body = vec![disc];
+    for word in words {
+        body.extend_from_slice(&word.to_le_bytes());
+    }
+    if let Some(tail) = tail {
+        body.push(tail.len() as u8);
+        body.extend_from_slice(tail);
+    }
+    body
+}
+
+/// `body` behind its (one-byte, for these short bodies) length prefix.
+fn raw_frame(body: &[u8]) -> Vec<u8> {
+    assert!(body.len() < 128, "one-byte varint prefix");
+    let mut frame = vec![body.len() as u8];
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// Malformed frames pushed straight into PE 0's receive queue are dropped
+/// and counted in `decode_errors`; PE 0's progress thread survives each
+/// one and keeps answering within a 2 s deadline. The two "naming PE 77"
+/// frames carry a sender word in the header layout the wire once had
+/// (the transport reports the sender now, so the word is malformed).
+#[test]
+fn malformed_frames_are_counted_and_the_ticker_survives() {
+    let echo = lamellar_core::am::register_am::<EchoAm>();
+    let payload = EchoAm { tag: 5 }.to_bytes();
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("bad discriminant", raw_frame(&[9, 0])),
+        ("frame length past the chunk end", vec![0x7f, 0, 1, 2]),
+        ("unregistered AM id", raw_frame(&raw_body(0, &[0xdead_beef, u64::MAX], Some(&payload)))),
+        (
+            "tracked request naming PE 77",
+            raw_frame(&raw_body(0, &[echo, u64::MAX, 77], Some(&payload))),
+        ),
+        ("unit request naming PE 77", raw_frame(&raw_body(5, &[echo, 77], Some(&payload)))),
+        ("wild LargeRequest length", raw_frame(&raw_body(2, &[echo, u64::MAX, 0, 1 << 62], None))),
+    ];
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    lamellar_core::world::launch_with_config(cfg, move |world| {
+        for (name, frame) in &cases {
+            let before = world.stats();
+            if world.my_pe() == 1 {
+                // Flushing around the frame gives it a chunk of its own.
+                let lamellae = world.rt().lamellae();
+                lamellae.flush();
+                lamellae.send_with(0, frame.len(), &mut |b| b.extend_from_slice(frame)).unwrap();
+                lamellae.flush();
+                let opts = AmOpts::deadline(Duration::from_secs(2));
+                let h = world.exec_am_pe_with(0, EchoAm { tag: 3 }, opts).fallible();
+                assert_eq!(world.block_on(h).ok(), Some((3, 0)), "{name}: PE0 stopped answering");
+            }
+            world.barrier();
+            let delta = world.stats().delta(&before);
+            if world.my_pe() == 0 {
+                assert_eq!(delta.am.decode_errors, 1, "{name}: PE0 counts the frame");
+            }
+            world.barrier();
+        }
+        world.wait_all();
+    });
 }
 
 /// Returns `Pending` once (waking itself), then `Ready`: an AM awaiting it
