@@ -11,7 +11,9 @@ use lamellar_codec::{Codec, CodecError, Reader};
 use lamellar_core::darc::Darc;
 use lamellar_core::memregion::SharedMemoryRegion;
 use lamellar_core::team::LamellarTeam;
+use lamellar_executor::Side;
 use parking_lot::RwLock;
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU8;
 
 /// The data-access safety mode of an array (paper Sec. III-F.1).
@@ -199,16 +201,20 @@ impl<T: ArrayElem> RawArray<T> {
         out
     }
 
-    /// Spin until this PE's handle is the only one anywhere (plus the other
+    /// Wait until this PE's handle is the only one anywhere (plus the other
     /// PEs' own single handles) — the paper's conversion precondition:
     /// "a blocking call that only succeeds when there is precisely one
-    /// reference to the array on each PE".
+    /// reference to the array on each PE". A dropped handle rings nothing:
+    /// this re-checks at the doorbell's `PARK_CAP`.
     pub(crate) fn wait_unique(&self, team: &LamellarTeam) {
         let expected = team.num_pes();
-        let mut backoff = lamellar_executor::Backoff::new();
-        while self.region.handle_count() > expected {
-            backoff.snooze();
-        }
+        team.rt().lamellae().doorbell().wait_until(Side::Wire, |_| {
+            if self.region.handle_count() > expected {
+                ControlFlow::Continue(false)
+            } else {
+                ControlFlow::Break(())
+            }
+        })
     }
 }
 

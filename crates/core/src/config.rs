@@ -205,50 +205,24 @@ impl WorldConfig {
         const WATCHDOG_MIN: Duration = Duration::from_millis(1);
         const WATCHDOG_MAX: Duration = Duration::from_secs(600);
 
-        if let Some(retransmit) = self.fault.as_ref().map(|f| f.retransmit_timeout) {
-            if retransmit.is_zero() {
-                return Err(ConfigError::ZeroDuration { field: "fault.retransmit_timeout" });
+        let knobs = [
+            self.fault.as_ref().map(|f| {
+                ("fault.retransmit_timeout", f.retransmit_timeout, Duration::ZERO, RETRANSMIT_MAX)
+            }),
+            self.am_deadline.map(|d| ("am_deadline", d, Duration::ZERO, DEADLINE_MAX)),
+            self.watchdog.map(|w| ("watchdog.interval", w.interval, WATCHDOG_MIN, WATCHDOG_MAX)),
+        ];
+        knobs.into_iter().flatten().try_for_each(|(field, value, min, max)| {
+            if value.is_zero() {
+                Err(ConfigError::ZeroDuration { field })
+            } else if value < min {
+                Err(ConfigError::TooShort { field, value, min })
+            } else if value > max {
+                Err(ConfigError::TooLong { field, value, max })
+            } else {
+                Ok(())
             }
-            if retransmit > RETRANSMIT_MAX {
-                return Err(ConfigError::TooLong {
-                    field: "fault.retransmit_timeout",
-                    value: retransmit,
-                    max: RETRANSMIT_MAX,
-                });
-            }
-        }
-        if let Some(d) = self.am_deadline {
-            if d.is_zero() {
-                return Err(ConfigError::ZeroDuration { field: "am_deadline" });
-            }
-            if d > DEADLINE_MAX {
-                return Err(ConfigError::TooLong {
-                    field: "am_deadline",
-                    value: d,
-                    max: DEADLINE_MAX,
-                });
-            }
-        }
-        if let Some(w) = self.watchdog {
-            if w.interval.is_zero() {
-                return Err(ConfigError::ZeroDuration { field: "watchdog.interval" });
-            }
-            if w.interval < WATCHDOG_MIN {
-                return Err(ConfigError::TooShort {
-                    field: "watchdog.interval",
-                    value: w.interval,
-                    min: WATCHDOG_MIN,
-                });
-            }
-            if w.interval > WATCHDOG_MAX {
-                return Err(ConfigError::TooLong {
-                    field: "watchdog.interval",
-                    value: w.interval,
-                    max: WATCHDOG_MAX,
-                });
-            }
-        }
-        Ok(())
+        })
     }
 
     /// [`WorldConfig::resolve`] that reports invalid duration knobs as a

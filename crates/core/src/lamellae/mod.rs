@@ -29,9 +29,11 @@ pub mod queue;
 pub(crate) mod reliable;
 
 use crate::config::Backend;
+use lamellar_executor::Doorbell;
 use lamellar_metrics::{FabricStats, FaultStats, LamellaeStats};
 use queue::QueueTransport;
 use rofi_sim::{FabricError, FabricPe};
+use std::sync::Arc;
 
 /// A communication failure surfaced by a fallible lamellae operation
 /// ([`Lamellae::send_with`], [`Lamellae::alloc_heap`],
@@ -55,6 +57,8 @@ pub enum CommError {
         /// The unreachable destination PE.
         pe: usize,
     },
+    /// A zero-byte message: there is no frame to send.
+    EmptyMessage,
     /// A single framed message exceeded the wire-chunk capacity (large
     /// payloads must take the heap-staging path instead).
     MessageTooLarge {
@@ -74,6 +78,7 @@ impl std::fmt::Display for CommError {
             CommError::PeerUnreachable { pe } => {
                 write!(f, "PE {pe} unreachable: delivery retries exhausted")
             }
+            CommError::EmptyMessage => write!(f, "empty message: a chunk needs at least one byte"),
             CommError::MessageTooLarge { len, max } => {
                 write!(f, "message of {len} bytes exceeds wire buffer capacity of {max}")
             }
@@ -174,9 +179,10 @@ impl Lamellae {
     /// the destination's aggregation buffer.
     ///
     /// # Errors
+    /// [`CommError::EmptyMessage`] when `len` is 0;
     /// [`CommError::MessageTooLarge`] when `len` exceeds the wire-chunk
     /// capacity; [`CommError::PeerUnreachable`] when the reliable-delivery
-    /// layer has declared `dst` dead. Either way nothing is queued.
+    /// layer has declared `dst` dead. In each case nothing is queued.
     pub fn send_with(
         &self,
         dst: usize,
@@ -191,6 +197,16 @@ impl Lamellae {
         self.queues.flush();
     }
 
+    /// [`Lamellae::flush`] for the one destination `dst`.
+    pub fn flush_to(&self, dst: usize) {
+        self.queues.flush_to(dst);
+    }
+
+    /// This PE's doorbell, which every waiting thread of the PE parks on.
+    pub fn doorbell(&self) -> &Arc<Doorbell> {
+        &self.ep.fabric().doorbells()[self.ep.pe()]
+    }
+
     /// Drain incoming messages, handing each `(src, envelope bytes)` chunk
     /// to `sink` as a borrowed slice of a transport-owned (typically pooled)
     /// receive buffer — valid only for the duration of the call; the
@@ -203,9 +219,9 @@ impl Lamellae {
         self.queues.progress(sink)
     }
 
-    /// Collective barrier over the world, servicing `progress` while
-    /// waiting (a blocked PE must keep executing AMs sent to it).
-    pub fn barrier_with(&self, progress: &mut dyn FnMut()) {
+    /// Collective barrier over the world, servicing `progress` (which says
+    /// whether it did work): a blocked PE must keep executing AMs sent to it.
+    pub fn barrier_with(&self, progress: &mut dyn FnMut() -> bool) {
         self.ep.barrier_with_progress(progress);
     }
 
@@ -384,7 +400,7 @@ mod tests {
         let s = lam.alloc_symmetric(128, 8).unwrap();
         lam.free_symmetric(s);
         // Barrier is a no-op with one PE.
-        lam.barrier_with(&mut || {});
+        lam.barrier_with(&mut || false);
         assert_eq!(lam.backend(), Backend::Smp);
     }
 }

@@ -65,6 +65,7 @@
 use crate::lamellae::reliable::{Chunk, Recv, ReliableLink, Timer};
 use crate::lamellae::{CommError, PairLiveness};
 use crate::proto::CHUNK_HDR_LEN;
+use lamellar_executor::Side;
 use lamellar_metrics::{LamellaeMetrics, LamellaeStats};
 use parking_lot::Mutex;
 use rofi_sim::{ChunkAction, FabricPe, FaultPlane};
@@ -281,9 +282,11 @@ impl QueueTransport {
     /// are emitted once the aggregation threshold accumulates. Never blocks.
     ///
     /// # Errors
+    /// [`CommError::EmptyMessage`] when `len` is 0;
     /// [`CommError::MessageTooLarge`] when the framed message cannot fit a
     /// wire chunk; [`CommError::PeerUnreachable`] when the reliable layer
-    /// has exhausted its retries toward `dst`. Either way nothing is queued.
+    /// has exhausted its retries toward `dst`. In each case nothing is
+    /// queued.
     pub fn send_with(
         &self,
         dst: usize,
@@ -291,6 +294,9 @@ impl QueueTransport {
         fill: &mut dyn FnMut(&mut Vec<u8>),
     ) -> Result<(), CommError> {
         let max = self.max_message();
+        if len == 0 {
+            return Err(CommError::EmptyMessage);
+        }
         if len > max {
             return Err(CommError::MessageTooLarge { len, max });
         }
@@ -333,11 +339,14 @@ impl QueueTransport {
     /// find no free buffer stay parked for the next call; with a link this
     /// also collects acks and runs the retransmit timer).
     pub fn flush(&self) {
-        for dst in 0..self.num_pes {
-            let mut q = self.out[dst].lock();
-            self.seal(&mut q);
-            self.pump(dst, &mut q);
-        }
+        (0..self.num_pes).for_each(|dst| self.flush_to(dst));
+    }
+
+    /// [`QueueTransport::flush`] for the one destination `dst`.
+    pub fn flush_to(&self, dst: usize) {
+        let mut q = self.out[dst].lock();
+        self.seal(&mut q);
+        self.pump(dst, &mut q);
     }
 
     /// Drain the destinations newly declared unreachable since the last
@@ -531,6 +540,7 @@ impl QueueTransport {
                     .atomic_u64(dst, self.recv_sig_off(me, idx))
                     .expect("recv_signal in bounds")
                     .store(bytes.len() as u64, Ordering::Release);
+                self.ep.fabric().doorbells()[dst].ring(Side::Wire);
                 return true;
             }
         }
@@ -570,10 +580,14 @@ impl QueueTransport {
                 }
                 sig.store(0, Ordering::Release);
                 // "signals the original PE ... it is now free to release".
-                self.ep
-                    .atomic_u64(src, self.send_busy_off(me, idx))
-                    .expect("busy in bounds")
-                    .store(0, Ordering::Release);
+                let busy =
+                    |i| self.ep.atomic_u64(src, self.send_busy_off(me, i)).expect("busy in bounds");
+                busy(idx).store(0, Ordering::Release);
+                // A sender parks chunks only while every buffer toward us is
+                // in flight, so the first one freed after that rings it.
+                if (0..NBUF).all(|i| i == idx || busy(i).load(Ordering::Acquire) != 0) {
+                    self.ep.fabric().doorbells()[src].ring(Side::Wire);
+                }
                 if let Some(payload) = self.accept(src, &data) {
                     self.metrics.record_recv(len as u64);
                     sink(src, payload);
@@ -870,15 +884,12 @@ mod tests {
                     q.progress(&mut |_, d| received += d.len() / 64);
                     q.flush();
                 }
-                let mut backoff = lamellar_executor::Backoff::new();
                 while received < 200 || !q.outgoing_empty() {
                     let before = received;
                     q.progress(&mut |_, d| received += d.len() / 64);
                     q.flush();
-                    if received > before {
-                        backoff.reset();
-                    } else {
-                        backoff.snooze();
+                    if received == before {
+                        std::thread::yield_now();
                     }
                 }
                 received

@@ -14,10 +14,15 @@
 //!   payload into the typed [`crate::am::AmHandle`].
 //! * `LargeRequest`/`FreeHeap` → the big-payload staging handshake.
 //!
-//! A dedicated progress thread per PE polls the Lamellae and flushes
-//! aggregation buffers when the wire goes idle. Barriers and `wait_all`
+//! A dedicated progress thread per PE drains the Lamellae and, when the PE
+//! goes idle, seals partial aggregation buffers. Barriers and `wait_all`
 //! also pump progress, so a PE blocked in a collective keeps executing AMs
 //! sent to it.
+//!
+//! Every waiting thread of a PE (the progress thread, idle workers,
+//! `block_on`, `wait_all`, barriers) parks on the PE's one
+//! [`Doorbell`](lamellar_executor::Doorbell), rung by whatever gives it work
+//! (DESIGN.md §4f).
 
 use crate::am::{
     am_id, lookup_am, register_am, AmError, AmFuture, AmHandle, AmOpts, AmOutput, CancelToken,
@@ -28,13 +33,14 @@ use crate::lamellae::{CommError, Lamellae};
 use crate::proto::{self, Envelope};
 use crate::world::WorldShared;
 use lamellar_codec::Codec;
-use lamellar_executor::{oneshot, Backoff, ExpBackoff, JoinHandle, ThreadPool};
+use lamellar_executor::{oneshot, ExpBackoff, JoinHandle, Side, ThreadPool};
 use lamellar_metrics::{AmMetrics, RuntimeStats};
 use parking_lot::Mutex;
 use std::any::type_name;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::Future;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,13 +96,8 @@ impl PendingTable {
         self.shard(req_id).lock().contains_key(&req_id)
     }
 
-    /// True when no request is in flight. Scans shard by shard (not
-    /// atomically across shards) — callers use it as a heuristic (watchdog
-    /// arming), never as a correctness gate.
-    fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-
+    /// Requests in flight, counted shard by shard (not atomically across
+    /// shards): a heuristic (watchdog arming), never a correctness gate.
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
@@ -274,6 +275,11 @@ pub struct RuntimeInner {
     inline_budget: AtomicUsize,
     /// Tick counter driving the periodic forced unit-ack flush.
     ack_tick: AtomicU64,
+    /// Per destination: a request was appended since the last idle pass.
+    issued: Vec<AtomicBool>,
+    /// Heap ranges staged for `LargeRequest`s: offset → (destination,
+    /// length). Only the destination's `FreeHeap` releases one.
+    leases: Mutex<HashMap<u64, (usize, usize)>>,
 }
 
 thread_local! {
@@ -335,6 +341,8 @@ impl RuntimeInner {
             unit_origin: (0..num_pes).map(|_| Mutex::new(UnitOrigin::default())).collect(),
             inline_budget: AtomicUsize::new(0),
             ack_tick: AtomicU64::new(0),
+            issued: (0..num_pes).map(|_| AtomicBool::new(false)).collect(),
+            leases: Mutex::new(HashMap::new()),
         })
     }
 
@@ -458,7 +466,7 @@ impl RuntimeInner {
             // fire-and-forget has no future to fail, so just stop counting
             // it — the tracked path's dropped handle would swallow the same
             // error unseen.
-            self.my_pending.fetch_sub(1, Ordering::AcqRel);
+            self.retire(1);
         }
     }
 
@@ -484,7 +492,7 @@ impl RuntimeInner {
             let delta = (n - origin.acked) as usize;
             origin.acked = n;
             drop(origin);
-            self.my_pending.fetch_sub(delta, Ordering::AcqRel);
+            self.retire(delta);
             self.note_progress();
         }
     }
@@ -559,7 +567,7 @@ impl RuntimeInner {
                     })
                 });
                 tx.send(out);
-                rt.my_pending.fetch_sub(1, Ordering::AcqRel);
+                rt.retire(1);
             }),
         );
         let payload_len = with_rt_context(self, || am.encoded_len());
@@ -590,7 +598,7 @@ impl RuntimeInner {
                 rt.am_metrics.record_panic_caught();
             }
             done(out);
-            rt.my_pending.fetch_sub(1, Ordering::AcqRel);
+            rt.retire(1);
             rt.note_progress();
         }));
     }
@@ -610,6 +618,7 @@ impl RuntimeInner {
         am: &T,
     ) -> Result<(), CommError> {
         self.am_metrics.record_sent();
+        self.issued[dst].store(true, Ordering::Relaxed);
         let am_id = am_id::<T>();
         let env = match completion {
             Completion::Counted => Envelope::RequestUnit { am_id, payload: &[] },
@@ -625,13 +634,15 @@ impl RuntimeInner {
                 // fails the future instead of hanging.
                 let off = self.lamellae.alloc_heap(payload.len(), 8)?;
                 // SAFETY: freshly allocated, private until the receiver is
-                // told about it, freed only on FreeHeap.
+                // told about it, freed only when its lease ends.
                 unsafe { self.lamellae.put(self.pe, off, &payload) };
-                let len = payload.len() as u64;
-                let env = Envelope::LargeRequest { am_id, req_id, heap_offset: off as u64, len };
+                let (heap_offset, len) = (off as u64, payload.len());
+                self.leases.lock().insert(heap_offset, (dst, len));
+                let env = Envelope::LargeRequest { am_id, req_id, heap_offset, len: len as u64 };
                 let sent =
                     self.lamellae.send_with(dst, env.framed_len(0), &mut |buf| env.frame(buf));
                 if sent.is_err() {
+                    self.leases.lock().remove(&heap_offset);
                     // Freeing the allocation just made cannot fail.
                     let _ = self.lamellae.free_heap(self.pe, off);
                 }
@@ -758,6 +769,15 @@ impl RuntimeInner {
     /// the reliable-delivery layer reports exhausted retries. The futures
     /// resolve to [`CommError::PeerUnreachable`] instead of hanging.
     fn fail_pes(&self, dead: &[usize]) {
+        // Staging buffers lent to the dead PEs will never be freed by them;
+        // free them before any failed future can wake its waiter.
+        self.leases.lock().retain(|&off, &mut (dst, _)| {
+            let lent_to_dead = dead.contains(&dst);
+            if lent_to_dead {
+                let _ = self.lamellae.free_heap(self.pe, off as usize);
+            }
+            !lent_to_dead
+        });
         let victims = self.pending.remove_to(dead);
         // Callbacks run outside the lock: they complete oneshots and may
         // wake arbitrary user code.
@@ -766,7 +786,15 @@ impl RuntimeInner {
         }
         // Fire-and-forget launches toward the dead PEs will never be acked.
         let (reclaimed, _) = self.reclaim_unit_credits(dead.iter().copied());
-        self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
+        self.retire(reclaimed);
+    }
+
+    /// Retire `n` completed launches from `my_pending`, ringing the
+    /// doorbell when that ends a `wait_all`.
+    fn retire(&self, n: usize) {
+        if self.my_pending.fetch_sub(n, Ordering::AcqRel) == n {
+            self.lamellae.doorbell().ring(Side::Wire);
+        }
     }
 
     /// Credit every unacked fire-and-forget launch toward `pes` now
@@ -806,32 +834,29 @@ impl RuntimeInner {
         let rt = Arc::clone(self);
         self.pool.spawn(async move {
             let out = fut.await;
-            rt.my_pending.fetch_sub(1, Ordering::AcqRel);
+            rt.retire(1);
             out
         })
     }
 
     /// Drive a future to completion on the calling thread, helping the
-    /// thread pool while blocked. Only blocks this PE.
+    /// thread pool while blocked. Only blocks this PE. Partial aggregation
+    /// buffers are flushed first: what the future waits on may sit there.
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        self.lamellae.flush();
         self.pool.block_on(fut)
     }
 
     /// Block until every AM and task launched by this PE has completed.
     pub fn wait_all(self: &Arc<Self>) {
         let _waiting = WaitGuard::new(self);
-        let mut backoff = Backoff::new();
-        loop {
+        self.lamellae.doorbell().wait_until(Side::Wire, |_| {
             self.lamellae.flush();
             if self.my_pending.load(Ordering::Acquire) == 0 {
-                return;
+                return ControlFlow::Break(());
             }
-            if self.tick() {
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
+            ControlFlow::Continue(self.tick())
+        })
     }
 
     /// [`RuntimeInner::wait_all`] that reports liveness-watchdog verdicts:
@@ -855,10 +880,7 @@ impl RuntimeInner {
     pub fn barrier(self: &Arc<Self>) {
         let _waiting = WaitGuard::new(self);
         self.lamellae.flush();
-        let rt = Arc::clone(self);
-        self.lamellae.barrier_with(&mut || {
-            rt.tick();
-        });
+        self.lamellae.barrier_with(&mut || self.tick());
     }
 
     /// One progress tick: drain incoming chunks, parsing each envelope in
@@ -902,13 +924,6 @@ impl RuntimeInner {
     #[inline]
     fn note_progress(&self) {
         self.progress_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Mark the current thread as blocked in a wait/barrier for the
-    /// duration of the returned guard (watchdog instrumentation for waits
-    /// implemented outside this module, e.g. team barriers).
-    pub(crate) fn wait_guard(&self) -> WaitGuard<'_> {
-        WaitGuard::new(self)
     }
 
     /// Dispatch one incoming envelope from `src`, the PE the transport
@@ -956,7 +971,12 @@ impl RuntimeInner {
                 (p.reply)(Err(AmError::RemotePanic { pe: p.dst, msg: msg.to_string() }));
             }
             Envelope::FreeHeap { offset } => {
-                if self.lamellae.free_heap(self.pe, offset as usize).is_err() {
+                // Only the PE a range was lent to may end its lease.
+                let mut leases = self.leases.lock();
+                if leases.get(&offset).is_some_and(|&(dst, _)| dst == src) {
+                    leases.remove(&offset);
+                    let _ = self.lamellae.free_heap(self.pe, offset as usize);
+                } else {
                     self.am_metrics.record_decode_error();
                 }
             }
@@ -1059,6 +1079,8 @@ impl RuntimeInner {
             let out = fut.await;
             rt.complete(src_pe, completion, out);
             rt.note_progress();
+            // The reply or unit-ack credit is the progress thread's to send.
+            rt.lamellae.doorbell().ring(Side::Wire);
         }));
     }
 
@@ -1155,15 +1177,30 @@ impl RuntimeInner {
         self.pending.len()
     }
 
-    /// The progress engine: runs on a dedicated thread until shutdown.
-    /// When the wire is idle it flushes partial aggregation buffers, so
-    /// sub-threshold batches (e.g. AM replies) never stall.
+    /// The progress engine: runs on a dedicated thread until shutdown,
+    /// parked on the doorbell while ticks find nothing to do. Each park
+    /// follows an idle pass, so sub-threshold batches never stall.
     pub(crate) fn progress_loop(self: &Arc<Self>) {
-        while !self.shutdown.load(Ordering::Acquire) {
+        self.lamellae.doorbell().wait_until(Side::Wire, |armed| {
+            if self.shutdown.load(Ordering::Acquire) {
+                return ControlFlow::Break(());
+            }
             let any = self.tick();
-            if !any {
-                self.lamellae.flush();
-                std::thread::sleep(std::time::Duration::from_micros(20));
+            if !any && armed {
+                self.flush_idle();
+            }
+            ControlFlow::Continue(any)
+        })
+    }
+
+    /// The idle pass: seal each partial aggregation buffer but one a request
+    /// was appended to since the previous pass. A thread still issuing keeps
+    /// filling it, and one that stops flushes it when it blocks (`block_on`,
+    /// `wait_all`, `barrier`); replies and acks go out now.
+    fn flush_idle(&self) {
+        for (dst, issued) in self.issued.iter().enumerate() {
+            if !issued.swap(false, Ordering::Relaxed) {
+                self.lamellae.flush_to(dst);
             }
         }
     }
@@ -1187,7 +1224,7 @@ impl RuntimeInner {
             std::thread::sleep(step);
             let epoch = self.progress_epoch.load(Ordering::Acquire);
             let blocked = self.waiting.load(Ordering::Acquire) > 0;
-            let remote_inflight = !self.pending.is_empty() || self.unit_outstanding() > 0;
+            let remote_inflight = self.pending.len() > 0 || self.unit_outstanding() > 0;
             if epoch != last_epoch || !blocked || !remote_inflight {
                 last_epoch = epoch;
                 stalled_since = None;
@@ -1263,7 +1300,7 @@ impl RuntimeInner {
         }
         // Only after `last_stall` is stored: once `my_pending` drops,
         // `wait_all` may return and `try_wait_all` must see the error.
-        self.my_pending.fetch_sub(reclaimed, Ordering::AcqRel);
+        self.retire(reclaimed);
         // Callbacks run outside the lock (they wake user code).
         for p in victims {
             (p.reply)(Err(AmError::Stalled { pe: p.dst, waited }));
@@ -1273,11 +1310,11 @@ impl RuntimeInner {
 
 /// RAII marker that this thread is blocked in `wait_all`/`barrier` — the
 /// window in which the liveness watchdog is allowed to declare a stall.
-/// Team barriers obtain one through [`RuntimeInner::wait_guard`].
+/// Team barriers take one too.
 pub(crate) struct WaitGuard<'a>(&'a RuntimeInner);
 
 impl<'a> WaitGuard<'a> {
-    fn new(rt: &'a RuntimeInner) -> Self {
+    pub(crate) fn new(rt: &'a RuntimeInner) -> Self {
         rt.waiting.fetch_add(1, Ordering::AcqRel);
         WaitGuard(rt)
     }

@@ -7,7 +7,7 @@
 //! symmetric resource is created.
 
 use crate::memregion::{Dist, SharedMemoryRegion};
-use crate::runtime::RuntimeInner;
+use crate::runtime::{RuntimeInner, WaitGuard};
 use crate::world::WorldGuard;
 use rofi_sim::SenseBarrier;
 use std::any::Any;
@@ -41,11 +41,12 @@ impl LamellarTeam {
     pub(crate) fn world_team(rt: Arc<RuntimeInner>, guard: Option<Arc<WorldGuard>>) -> Self {
         let n = rt.num_pes();
         let shared = Arc::clone(rt.shared());
+        let pes: Vec<usize> = (0..n).collect();
         // Team id 0 is reserved for the world team of each world.
-        let barrier = shared.team_barrier(0, n);
+        let barrier = shared.team_barrier(0, &pes);
         // All PEs construct an identical TeamInfo; each holds its own copy
         // (mirroring per-process team state in the real runtime).
-        let info = Arc::new(TeamInfo { id: 0, pes: (0..n).collect(), seq: AtomicU64::new(0) });
+        let info = Arc::new(TeamInfo { id: 0, pes, seq: AtomicU64::new(0) });
         LamellarTeam { rt, info, barrier, _guard: guard }
     }
 
@@ -83,12 +84,11 @@ impl LamellarTeam {
     /// Barrier across the team's members, servicing runtime progress while
     /// waiting.
     pub fn barrier(&self) {
-        let _waiting = self.rt.wait_guard();
+        let _waiting = WaitGuard::new(&self.rt);
         self.rt.lamellae().flush();
-        let rt = Arc::clone(&self.rt);
-        self.barrier.wait_with_progress(move || {
-            rt.shared().check_poison();
-            rt.tick();
+        self.barrier.wait(self.rt.lamellae().doorbell(), || {
+            self.rt.shared().check_poison();
+            self.rt.tick()
         });
     }
 
@@ -112,7 +112,7 @@ impl LamellarTeam {
             // but hold no handle.
             return None;
         }
-        let barrier = self.rt.shared().team_barrier(team_id, members.len());
+        let barrier = self.rt.shared().team_barrier(team_id, &members);
         let info = Arc::new(TeamInfo { id: team_id, pes: members, seq: AtomicU64::new(0) });
         Some(LamellarTeam { rt: Arc::clone(&self.rt), info, barrier, _guard: self._guard.clone() })
     }

@@ -17,7 +17,7 @@ use crate::config::{Backend, WorldConfig};
 use crate::lamellae::{queue::queue_footprint, Lamellae};
 use crate::runtime::RuntimeInner;
 use crate::team::LamellarTeam;
-use lamellar_executor::{JoinHandle, PoolConfig, ThreadPool};
+use lamellar_executor::{Doorbell, JoinHandle, PoolConfig, Side, ThreadPool};
 use lamellar_metrics::RuntimeStats;
 use parking_lot::Mutex;
 use rofi_sim::fabric::{Fabric, FabricConfig};
@@ -61,6 +61,8 @@ pub struct WorldShared {
     /// barriers observe it and panic too, so the error surfaces on every
     /// PE instead of deadlocking the world.
     poison: Mutex<Option<String>>,
+    /// Every PE's doorbell, by PE id (team barriers and poisoning ring them).
+    bells: Vec<Arc<Doorbell>>,
 }
 
 struct TrackableEntry {
@@ -72,7 +74,7 @@ struct TrackableEntry {
 }
 
 impl WorldShared {
-    fn new() -> Arc<Self> {
+    fn new(bells: Vec<Arc<Doorbell>>) -> Arc<Self> {
         Arc::new(WorldShared {
             next_trackable: AtomicU64::new(1),
             trackables: Mutex::new(HashMap::new()),
@@ -82,6 +84,7 @@ impl WorldShared {
             next_team: AtomicU64::new(1),
             collective_kinds: Mutex::new(HashMap::new()),
             poison: Mutex::new(None),
+            bells,
         })
     }
 
@@ -127,12 +130,6 @@ impl WorldShared {
         self.trackables.lock().get(&id).and_then(|e| e.state.upgrade())
     }
 
-    /// Number of live in-flight pins for `id` (diagnostics/tests).
-    #[allow(dead_code)]
-    pub(crate) fn pin_count(&self, id: u64) -> usize {
-        self.trackables.lock().get(&id).map(|e| e.pins.len()).unwrap_or(0)
-    }
-
     pub(crate) fn exchange_put(&self, tag: u64, obj: Arc<dyn Any + Send + Sync>) {
         self.exchange.lock().insert(tag, obj);
     }
@@ -166,11 +163,15 @@ impl WorldShared {
         }
     }
 
-    /// Get or create the barrier for team `team_id` with `n` participants.
-    pub(crate) fn team_barrier(&self, team_id: u64, n: usize) -> Arc<SenseBarrier> {
+    /// Get or create the barrier for team `team_id` over world PEs `members`.
+    pub(crate) fn team_barrier(&self, team_id: u64, members: &[usize]) -> Arc<SenseBarrier> {
         let mut map = self.team_barriers.lock();
-        let b = map.entry(team_id).or_insert_with(|| Arc::new(SenseBarrier::new(n)));
-        assert_eq!(b.participants(), n, "team barrier size mismatch");
+        let b = map.entry(team_id).or_insert_with(|| {
+            Arc::new(SenseBarrier::new(
+                members.iter().map(|&pe| Arc::clone(&self.bells[pe])).collect(),
+            ))
+        });
+        assert_eq!(b.participants(), members.len(), "team barrier size mismatch");
         Arc::clone(b)
     }
 
@@ -196,6 +197,7 @@ impl WorldShared {
                 drop(kinds);
                 eprintln!("lamellar: {msg}");
                 *self.poison.lock() = Some(msg.clone());
+                self.bells.iter().for_each(|b| b.ring(Side::Wire));
                 panic!("{msg}");
             }
             Some(_) => {}
@@ -234,6 +236,7 @@ impl Drop for WorldGuard {
         self.rt.wait_all();
         self.rt.barrier();
         self.rt.shutdown.store(true, Ordering::Release);
+        self.rt.lamellae().doorbell().ring(Side::Wire);
         if let Some(h) = self.progress.lock().take() {
             let _ = h.join();
         }
@@ -525,12 +528,15 @@ impl LamellarWorldBuilder {
             .backend(self.backend)
             .threads_per_pe(self.threads)
             .metrics(self.metrics);
-        build_worlds(cfg).pop().expect("one world")
+        spawn_worlds(cfg).pop().expect("one world")
     }
 }
 
-/// Construct all PE worlds for a config (resolved internally).
-pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
+/// Construct all PE worlds for a config (resolved internally) without
+/// spawning PE main threads — for harnesses (e.g. the `perfbench` ledger)
+/// that place each PE's world on a thread they manage themselves. Prefer
+/// [`launch`] for SPMD programs.
+pub fn spawn_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
     let cfg = cfg.resolve();
     let net = match cfg.backend {
         Backend::Rofi => NetConfig::from_env(),
@@ -552,19 +558,22 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
         .alloc_symmetric(queue_footprint(cfg.num_pes, cfg.buffer_size), 64)
         .expect("symmetric region too small for message queues");
     let fault_plane = endpoints[0].fabric().fault_plane().cloned();
-    let shared = WorldShared::new();
+    let shared = WorldShared::new(endpoints[0].fabric().doorbells().to_vec());
     let worlds: Vec<LamellarWorld> = endpoints
         .into_iter()
         .map(|ep| {
             let lamellae =
                 Lamellae::new(ep, cfg.backend, queue_base, cfg.buffer_size, cfg.agg_threshold);
             let pe = lamellae.my_pe();
-            let pool = ThreadPool::new(PoolConfig {
-                workers: cfg.threads_per_pe,
-                single_queue: false,
-                thread_name: format!("lamellar-pe{pe}"),
-                metrics: cfg.metrics,
-            });
+            let pool = ThreadPool::with_doorbell(
+                PoolConfig {
+                    workers: cfg.threads_per_pe,
+                    single_queue: false,
+                    thread_name: format!("lamellar-pe{pe}"),
+                    metrics: cfg.metrics,
+                },
+                Arc::clone(lamellae.doorbell()),
+            );
             let rt = RuntimeInner::new(
                 lamellae,
                 pool,
@@ -603,14 +612,6 @@ pub(crate) fn build_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
     worlds
 }
 
-/// Construct all PE worlds without spawning PE main threads — for
-/// harnesses (e.g. the `perfbench` ledger) that need to place each PE's world
-/// on a thread they manage themselves. Prefer [`launch`] for SPMD
-/// programs.
-pub fn spawn_worlds(cfg: WorldConfig) -> Vec<LamellarWorld> {
-    build_worlds(cfg)
-}
-
 /// SPMD launch: run `f` once per PE (each on its own thread group), return
 /// the per-PE results in PE order. This is the simulation's stand-in for
 /// the cluster launcher ("The number of PEs is controlled through the
@@ -629,7 +630,7 @@ where
     R: Send + 'static,
     F: Fn(LamellarWorld) -> R + Send + Sync + 'static,
 {
-    let worlds = build_worlds(cfg);
+    let worlds = spawn_worlds(cfg);
     let f = Arc::new(f);
     let handles: Vec<_> = worlds
         .into_iter()

@@ -1,74 +1,11 @@
-//! Exponential backoff for runtime spin loops.
-//!
-//! Several layers of the stack wait for progress made by *other* threads:
-//! `ThreadPool::wait_idle` waits for workers to drain, `wait_all` in the
-//! runtime waits for outstanding requests, tests wait for wire quiescence.
-//! A bare `std::thread::yield_now()` loop burns a core and — worse on an
-//! oversubscribed machine — can starve the very thread it is waiting on.
-//!
-//! [`Backoff`] escalates in three phases (the shape crossbeam uses):
-//!
-//! 1. **spin** — a few rounds of `core::hint::spin_loop`, doubling each
-//!    time, for waits that resolve in nanoseconds;
-//! 2. **yield** — `std::thread::yield_now`, giving the scheduler a chance
-//!    to run the producer;
-//! 3. **park** — short timed sleeps, bounding CPU burn for long waits while
-//!    keeping wakeup latency in the tens of microseconds.
-//!
-//! Call [`Backoff::snooze`] once per failed poll and [`Backoff::reset`]
-//! whenever work was observed, so bursts stay in the cheap spin phase.
+//! Exponential backoff for retries.
 
 use std::time::Duration;
 
-/// Number of escalation steps spent busy-spinning (2^step iterations each).
-const SPIN_LIMIT: u32 = 6;
-/// Steps (after spinning) spent yielding to the OS scheduler.
-const YIELD_LIMIT: u32 = 10;
-/// Sleep length once the wait has escalated past yielding.
-const PARK: Duration = Duration::from_micros(50);
-
-/// An escalating wait: spin, then yield, then park.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: u32,
-}
-
-impl Backoff {
-    /// A fresh backoff in the spin phase.
-    pub fn new() -> Self {
-        Backoff::default()
-    }
-
-    /// Return to the spin phase; call after observing progress.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Wait once, escalating the strategy on each successive call.
-    pub fn snooze(&mut self) {
-        if self.step < SPIN_LIMIT {
-            for _ in 0..(1u32 << self.step) {
-                core::hint::spin_loop();
-            }
-        } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(PARK);
-        }
-        self.step = self.step.saturating_add(1);
-    }
-
-    /// True once snoozing has escalated to timed parking (diagnostics).
-    pub fn is_parking(&self) -> bool {
-        self.step >= SPIN_LIMIT + YIELD_LIMIT
-    }
-}
-
-/// Duration-level exponential backoff: the retry-interval counterpart of
-/// [`Backoff`]'s spin escalation. Where `Backoff` paces *polls* inside one
-/// wait, `ExpBackoff` paces *attempts* across retries — each call to
-/// [`ExpBackoff::next_delay`] yields the next interval in the geometric
-/// schedule `base, base·factor, base·factor², …`, saturating at `cap`.
+/// Duration-level exponential backoff: paces *attempts* across retries —
+/// each call to [`ExpBackoff::next_delay`] yields the next interval in the
+/// geometric schedule `base, base·factor, base·factor², …`, saturating at
+/// `cap`.
 ///
 /// The AM-layer `RetryPolicy` builds its per-attempt deadline windows on
 /// this schedule.
@@ -104,26 +41,6 @@ impl ExpBackoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escalates_to_parking_and_resets() {
-        let mut b = Backoff::new();
-        assert!(!b.is_parking());
-        for _ in 0..(SPIN_LIMIT + YIELD_LIMIT) {
-            b.snooze();
-        }
-        assert!(b.is_parking());
-        b.snooze(); // parks (50µs) without panicking
-        b.reset();
-        assert!(!b.is_parking());
-    }
-
-    #[test]
-    fn step_saturates() {
-        let mut b = Backoff { step: u32::MAX };
-        b.snooze();
-        assert!(b.is_parking());
-    }
 
     #[test]
     fn exp_backoff_doubles_and_caps() {

@@ -21,16 +21,22 @@
 //! calling PE" (Listing 1) and cannot starve the runtime even when every
 //! worker is busy.
 //!
+//! Every wait parks on the PE's one [`Doorbell`], which spawns and
+//! `block_on`'s waker ring; no wait spins, yields or sleeps on a timer of
+//! its own (DESIGN.md §4f).
+//!
 //! An ablation (`single_queue` mode) replaces the per-worker deques with the
 //! shared injector only, used by `bench/bin/ablation_executor` to measure
 //! what work-stealing buys.
 
 pub mod backoff;
+pub mod doorbell;
 pub mod oneshot;
 pub mod pool;
 pub mod task;
 
-pub use backoff::{Backoff, ExpBackoff};
+pub use backoff::ExpBackoff;
+pub use doorbell::{Doorbell, Side, PARK_CAP};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use pool::{PoolConfig, ThreadPool};
 pub use task::JoinHandle;

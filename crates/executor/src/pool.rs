@@ -1,16 +1,16 @@
 //! The work-stealing thread pool.
 
+use crate::doorbell::{Doorbell, Side};
 use crate::oneshot::oneshot;
-use crate::task::{JoinHandle, Schedule, Task};
-use crossbeam_deque::{Injector, Stealer, Worker};
+use crate::task::{JoinHandle, Task};
+use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use lamellar_metrics::{ExecutorMetrics, ExecutorStats};
-use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::future::Future;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::task::{Context, Poll, Waker};
 
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
@@ -46,30 +46,28 @@ impl PoolConfig {
     }
 }
 
-struct PoolInner {
+pub(crate) struct PoolInner {
     injector: Injector<Arc<Task>>,
     stealers: Vec<Stealer<Arc<Task>>>,
-    /// Wakeup channel for parked workers.
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    /// Rung by every spawn; parked on by idle workers and helpers.
+    bell: Arc<Doorbell>,
     shutdown: AtomicBool,
     /// Tasks spawned but not yet finished — drives `wait_all` semantics.
     outstanding: AtomicUsize,
     single_queue: bool,
-    /// Identity used by worker threads to recognize their own pool.
-    id: usize,
     /// Executor-layer observability (spawn/complete/steal, queue HWMs).
     metrics: Arc<ExecutorMetrics>,
 }
 
-impl Schedule for PoolInner {
-    fn schedule(&self, task: Arc<Task>) {
+impl PoolInner {
+    /// Queue `task` (new, or woken) and ring the doorbell.
+    pub(crate) fn schedule(&self, task: Arc<Task>) {
         // If called from one of this pool's workers, push to its local deque
         // (the work-stealing fast path); otherwise use the global injector.
         let pushed_local = !self.single_queue
             && CURRENT_WORKER.with(|cw| {
                 if let Some(cur) = cw.borrow().as_ref() {
-                    if cur.pool_id == self.id {
+                    if std::ptr::eq(cur.pool, self) {
                         cur.worker.push(task.clone());
                         // Guard here, not just inside the recorder: len() on the
                         // shim deque takes a lock, which the disabled path must
@@ -85,17 +83,20 @@ impl Schedule for PoolInner {
         if !pushed_local {
             self.injector.push(task);
         }
-        self.idle_cv.notify_one();
+        self.bell.ring(Side::Tasks);
     }
 
-    fn task_finished(&self) {
+    pub(crate) fn task_finished(&self) {
         self.metrics.record_complete();
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
+        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.bell.ring(Side::Tasks); // wait_idle's condition
+        }
     }
 }
 
 struct CurrentWorker {
-    pool_id: usize,
+    /// Identity of the worker's pool (compared, never dereferenced).
+    pool: *const PoolInner,
     index: usize,
     worker: Worker<Arc<Task>>,
 }
@@ -111,32 +112,25 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spin up the pool.
+    /// Spin up the pool with a doorbell of its own.
     pub fn new(cfg: PoolConfig) -> Self {
+        Self::with_doorbell(cfg, Arc::default())
+    }
+
+    /// Spin up the pool parked on `bell`, its PE's doorbell.
+    pub fn with_doorbell(cfg: PoolConfig, bell: Arc<Doorbell>) -> Self {
         let workers: Vec<Worker<Arc<Task>>> =
             (0..cfg.workers).map(|_| Worker::new_lifo()).collect();
         let stealers = workers.iter().map(|w| w.stealer()).collect();
         let inner = Arc::new(PoolInner {
             injector: Injector::new(),
             stealers,
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            bell,
             shutdown: AtomicBool::new(false),
             outstanding: AtomicUsize::new(0),
             single_queue: cfg.single_queue,
-            id: 0, // fixed up below once the Arc address is known
             metrics: Arc::new(ExecutorMetrics::new(cfg.metrics, cfg.workers)),
         });
-        // The pool id is the Arc's address — unique for the pool's lifetime.
-        let id = Arc::as_ptr(&inner) as usize;
-        // SAFETY-free fixup: `id` is plain data written before any worker
-        // thread starts; we use an atomic-free write via Arc::get_mut.
-        let inner = {
-            let mut inner = inner;
-            // No other Arc clones exist yet.
-            Arc::get_mut(&mut inner).expect("sole owner").id = id;
-            inner
-        };
         let threads = workers
             .into_iter()
             .enumerate()
@@ -168,10 +162,7 @@ impl ThreadPool {
         let wrapped = async move {
             tx.send(fut.await);
         };
-        let task = Task::new(
-            Box::pin(wrapped),
-            Arc::downgrade(&self.inner) as std::sync::Weak<dyn Schedule>,
-        );
+        let task = Task::new(Box::pin(wrapped), Arc::downgrade(&self.inner));
         if task.transition_to_queued() {
             self.inner.schedule(task);
         }
@@ -198,78 +189,44 @@ impl ThreadPool {
     ///
     /// While pending, the caller *helps* the pool by executing queued tasks,
     /// so a `block_on` inside a saturated runtime still makes progress
-    /// (Listing 1: "block_on only blocks the calling PE").
+    /// (Listing 1: "block_on only blocks the calling PE"). The future is
+    /// re-polled after every ring and every task it runs.
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-        let signal = Arc::new(BlockOnSignal::default());
-        let waker = Waker::from(Arc::clone(&signal));
+        let waker = Waker::from(Arc::clone(&self.inner.bell));
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
-        loop {
-            if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-                return v;
-            }
-            // Help: run pool work while we wait. Re-poll as soon as either
-            // our waker fired or we ran something (which may have been the
-            // task we are waiting on).
-            loop {
-                if signal.take() {
-                    break;
-                }
-                if !self.try_run_one_external() {
-                    signal.wait_timeout(Duration::from_micros(200));
-                    break;
-                }
-            }
-        }
+        self.inner.bell.wait_until(Side::Tasks, |_| match fut.as_mut().poll(&mut cx) {
+            Poll::Ready(v) => ControlFlow::Break(v),
+            Poll::Pending => ControlFlow::Continue(self.try_run_one_external()),
+        })
     }
 
     /// Block until every spawned task (AM, communication task, user future)
     /// has completed — the engine behind the paper's `wait_all()`.
     pub fn wait_idle(&self) {
-        let mut backoff = crate::Backoff::new();
-        while self.outstanding() != 0 {
-            if self.try_run_one_external() {
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
+        self.inner.bell.wait_until(Side::Tasks, |_| match self.outstanding() {
+            0 => ControlFlow::Break(()),
+            _ => ControlFlow::Continue(self.try_run_one_external()),
+        })
     }
 
     /// Try to execute one task from the shared queues (used by helpers that
     /// are not workers: `block_on`, `wait_idle`, progress threads).
     fn try_run_one_external(&self) -> bool {
         // Steal from the injector first, then from workers.
-        loop {
-            match self.inner.injector.steal() {
-                crossbeam_deque::Steal::Success(task) => {
-                    task.run();
-                    return true;
-                }
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
-            }
-        }
-        for stealer in &self.inner.stealers {
-            loop {
-                match stealer.steal() {
-                    crossbeam_deque::Steal::Success(task) => {
-                        task.run();
-                        return true;
-                    }
-                    crossbeam_deque::Steal::Retry => continue,
-                    crossbeam_deque::Steal::Empty => break,
-                }
-            }
-        }
-        false
+        let inner = &self.inner;
+        let task = steal(|| inner.injector.steal())
+            .or_else(|| inner.stealers.iter().find_map(|s| steal(|| s.steal())));
+        let Some(task) = task else { return false };
+        task.run();
+        true
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.idle_cv.notify_all();
+        self.inner.bell.ring(Side::Tasks);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -288,7 +245,7 @@ impl std::fmt::Debug for ThreadPool {
 fn worker_loop(inner: Arc<PoolInner>, worker: Worker<Arc<Task>>, index: usize) {
     // Register this thread as a worker so `schedule` can use the local deque.
     CURRENT_WORKER.with(|cw| {
-        *cw.borrow_mut() = Some(CurrentWorker { pool_id: inner.id, index, worker });
+        *cw.borrow_mut() = Some(CurrentWorker { pool: Arc::as_ptr(&inner), index, worker });
     });
     let run_one = |inner: &PoolInner| -> bool {
         CURRENT_WORKER.with(|cw| {
@@ -308,18 +265,15 @@ fn worker_loop(inner: Arc<PoolInner>, worker: Worker<Arc<Task>>, index: usize) {
             }
         })
     };
-    loop {
+    inner.bell.wait_until(Side::Tasks, |_| {
         if run_one(&inner) {
-            continue;
+            ControlFlow::Continue(true)
+        } else if inner.shutdown.load(Ordering::Acquire) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(false)
         }
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // Park with a timeout: the timeout closes the race between the
-        // empty-queue check and a concurrent push+notify.
-        let mut guard = inner.idle_lock.lock();
-        inner.idle_cv.wait_for(&mut guard, Duration::from_millis(1));
-    }
+    });
     CURRENT_WORKER.with(|cw| *cw.borrow_mut() = None);
 }
 
@@ -330,62 +284,24 @@ fn find_task(
     local: &Worker<Arc<Task>>,
     index: usize,
 ) -> Option<(Arc<Task>, bool)> {
-    if let Some(t) = local.pop() {
-        return Some((t, false));
-    }
-    // Refill from the injector (batch steal amortizes contention).
-    loop {
-        match inner.injector.steal_batch_and_pop(local) {
-            crossbeam_deque::Steal::Success(t) => return Some((t, false)),
-            crossbeam_deque::Steal::Retry => continue,
-            crossbeam_deque::Steal::Empty => break,
-        }
-    }
-    // Steal from siblings, starting after ourselves to spread contention.
+    // Refill from the injector (batch steal amortizes contention), then
+    // steal from siblings, starting after ourselves to spread contention.
     let n = inner.stealers.len();
-    for k in 1..n {
-        let victim = (index + k) % n;
-        loop {
-            match inner.stealers[victim].steal_batch_and_pop(local) {
-                crossbeam_deque::Steal::Success(t) => return Some((t, true)),
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
-            }
+    let own = local.pop().or_else(|| steal(|| inner.injector.steal_batch_and_pop(local)));
+    own.map(|t| (t, false)).or_else(|| {
+        let victim = |k| &inner.stealers[(index + k) % n];
+        (1..n).find_map(|k| steal(|| victim(k).steal_batch_and_pop(local))).map(|t| (t, true))
+    })
+}
+
+/// Repeat a steal until it stops asking for a retry.
+fn steal<T>(attempt: impl Fn() -> Steal<T>) -> Option<T> {
+    loop {
+        match attempt() {
+            Steal::Success(t) => return Some(t),
+            Steal::Empty => return None,
+            Steal::Retry => {}
         }
-    }
-    None
-}
-
-/// Waker for `block_on`: a flag plus a condvar to park the blocked thread.
-#[derive(Default)]
-struct BlockOnSignal {
-    fired: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl BlockOnSignal {
-    fn take(&self) -> bool {
-        std::mem::take(&mut *self.fired.lock())
-    }
-
-    fn wait_timeout(&self, dur: Duration) {
-        let mut fired = self.fired.lock();
-        if !*fired {
-            self.cv.wait_for(&mut fired, dur);
-        }
-        *fired = false;
-    }
-}
-
-impl Wake for BlockOnSignal {
-    fn wake(self: Arc<Self>) {
-        *self.fired.lock() = true;
-        self.cv.notify_one();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        *self.fired.lock() = true;
-        self.cv.notify_one();
     }
 }
 

@@ -1,6 +1,7 @@
 //! Task representation and join handles.
 
 use crate::oneshot::OneshotReceiver;
+use crate::pool::PoolInner;
 use parking_lot::Mutex;
 use std::future::Future;
 use std::pin::Pin;
@@ -10,12 +11,6 @@ use std::task::{Context, Poll, Wake, Waker};
 
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Scheduling interface a task uses to requeue itself on wake.
-pub(crate) trait Schedule: Send + Sync + 'static {
-    fn schedule(&self, task: Arc<Task>);
-    fn task_finished(&self);
-}
-
 /// A spawned unit of work: a boxed future plus its scheduling state.
 pub(crate) struct Task {
     /// The future, present while the task is alive. The lock is held for the
@@ -24,11 +19,12 @@ pub(crate) struct Task {
     future: Mutex<Option<BoxFuture>>,
     /// True while the task sits in some queue; prevents duplicate enqueues.
     queued: AtomicBool,
-    pool: Weak<dyn Schedule>,
+    /// The pool the task requeues itself on when woken.
+    pool: Weak<PoolInner>,
 }
 
 impl Task {
-    pub(crate) fn new(future: BoxFuture, pool: Weak<dyn Schedule>) -> Arc<Self> {
+    pub(crate) fn new(future: BoxFuture, pool: Weak<PoolInner>) -> Arc<Self> {
         Arc::new(Task { future: Mutex::new(Some(future)), queued: AtomicBool::new(false), pool })
     }
 
@@ -75,10 +71,6 @@ impl Wake for Task {
                 pool.schedule(self);
             }
         }
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        Arc::clone(self).wake();
     }
 }
 

@@ -7,78 +7,61 @@
 //!
 //! Unlike `std::sync::Barrier`, this barrier supports *subsets* of PEs
 //! (teams, Sec. III: "Team — a subset of PEs in the world") by constructing
-//! one instance per team, and it spins with `yield_now` so executor worker
-//! threads on the same cores can continue making progress.
+//! one instance per team. A waiter parks on its PE's [`Doorbell`], which the
+//! last arriver rings for every participant, so a PE blocked here still
+//! wakes for the messages its progress callback serves.
 
+use lamellar_executor::{Doorbell, Side};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// A reusable sense-reversing barrier for `n` participants.
+/// A reusable sense-reversing barrier over a fixed set of participants.
 #[derive(Debug)]
 pub struct SenseBarrier {
-    n: usize,
     count: AtomicUsize,
     sense: AtomicBool,
+    /// One doorbell per participant, rung by each episode's last arriver.
+    bells: Vec<Arc<Doorbell>>,
 }
 
 impl SenseBarrier {
-    /// Create a barrier for `n` participants.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one participant");
-        SenseBarrier { n, count: AtomicUsize::new(0), sense: AtomicBool::new(false) }
+    /// A barrier for one participant per doorbell in `bells`.
+    pub fn new(bells: Vec<Arc<Doorbell>>) -> Self {
+        assert!(!bells.is_empty(), "barrier needs at least one participant");
+        SenseBarrier { count: AtomicUsize::new(0), sense: AtomicBool::new(false), bells }
     }
 
     /// Number of participants.
     pub fn participants(&self) -> usize {
-        self.n
+        self.bells.len()
     }
 
-    /// Enter the barrier and wait until all `n` participants have entered.
+    /// Enter the barrier and wait, parked on `bell` (the caller's own), until
+    /// every participant has entered. Meanwhile `progress` runs and says
+    /// whether it did work: a blocked PE must keep servicing AMs (paper
+    /// Sec. III-C: "its thread pool is still able to process AMs sent to it
+    /// by other PEs").
     ///
     /// Returns `true` on exactly one participant per episode (the last
     /// arriver), mirroring `std::sync::Barrier`'s leader result.
-    pub fn wait(&self) -> bool {
+    pub fn wait(&self, bell: &Doorbell, mut progress: impl FnMut() -> bool) -> bool {
         let my_sense = !self.sense.load(Ordering::Relaxed);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.n {
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.participants() {
             // Last arriver: reset the count and flip the sense, releasing
             // all waiters.
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(my_sense, Ordering::Release);
-            true
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != my_sense {
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            false
+            self.bells.iter().for_each(|b| b.ring(Side::Wire));
+            return true;
         }
-    }
-
-    /// Like [`SenseBarrier::wait`] but calls `progress` while spinning.
-    ///
-    /// A blocked PE must keep servicing incoming AMs (paper Sec. III-C:
-    /// "because it is still alive, its thread pool is still able to process
-    /// AMs sent to it by other PEs"). The barrier itself is the canonical
-    /// place a PE blocks, so it takes a progress callback.
-    pub fn wait_with_progress(&self, mut progress: impl FnMut()) -> bool {
-        let my_sense = !self.sense.load(Ordering::Relaxed);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        if arrived == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(my_sense, Ordering::Release);
-            true
-        } else {
-            while self.sense.load(Ordering::Acquire) != my_sense {
-                progress();
-                std::thread::yield_now();
+        bell.wait_until(Side::Wire, |_| {
+            if self.sense.load(Ordering::Acquire) == my_sense {
+                ControlFlow::Break(false)
+            } else {
+                ControlFlow::Continue(progress())
             }
-            false
-        }
+        })
     }
 }
 
@@ -86,13 +69,18 @@ impl SenseBarrier {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+
+    /// A barrier over `n` fresh doorbells, and the doorbells.
+    fn barrier(n: usize) -> (Arc<SenseBarrier>, Vec<Arc<Doorbell>>) {
+        let bells: Vec<Arc<Doorbell>> = (0..n).map(|_| Arc::default()).collect();
+        (Arc::new(SenseBarrier::new(bells.clone())), bells)
+    }
 
     #[test]
     fn single_participant_is_leader_every_time() {
-        let b = SenseBarrier::new(1);
+        let (b, bells) = barrier(1);
         for _ in 0..5 {
-            assert!(b.wait());
+            assert!(b.wait(&bells[0], || false));
         }
     }
 
@@ -100,10 +88,10 @@ mod tests {
     fn all_threads_wait_for_each_other() {
         const N: usize = 8;
         const EPISODES: usize = 50;
-        let barrier = Arc::new(SenseBarrier::new(N));
+        let (barrier, bells) = barrier(N);
         let phase = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
-        for _ in 0..N {
+        for bell in bells {
             let barrier = Arc::clone(&barrier);
             let phase = Arc::clone(&phase);
             handles.push(std::thread::spawn(move || {
@@ -112,10 +100,10 @@ mod tests {
                     // episode number inside the episode — only possible if the
                     // barrier actually synchronizes.
                     assert_eq!(phase.load(Ordering::SeqCst), ep);
-                    if barrier.wait() {
+                    if barrier.wait(&bell, || false) {
                         phase.store(ep + 1, Ordering::SeqCst);
                     }
-                    barrier.wait();
+                    barrier.wait(&bell, || false);
                 }
             }));
         }
@@ -128,15 +116,15 @@ mod tests {
     #[test]
     fn exactly_one_leader_per_episode() {
         const N: usize = 6;
-        let barrier = Arc::new(SenseBarrier::new(N));
+        let (barrier, bells) = barrier(N);
         let leaders = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
-        for _ in 0..N {
+        for bell in bells {
             let barrier = Arc::clone(&barrier);
             let leaders = Arc::clone(&leaders);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    if barrier.wait() {
+                    if barrier.wait(&bell, || false) {
                         leaders.fetch_add(1, Ordering::SeqCst);
                     }
                 }
@@ -150,20 +138,22 @@ mod tests {
 
     #[test]
     fn progress_callback_runs_for_waiters() {
-        let barrier = Arc::new(SenseBarrier::new(2));
+        let (barrier, bells) = barrier(2);
         let ticks = Arc::new(AtomicUsize::new(0));
         let b2 = Arc::clone(&barrier);
         let t2 = Arc::clone(&ticks);
+        let bell = Arc::clone(&bells[1]);
         let waiter = std::thread::spawn(move || {
-            b2.wait_with_progress(|| {
+            b2.wait(&bell, || {
                 t2.fetch_add(1, Ordering::Relaxed);
+                true
             });
         });
         // Give the waiter time to spin a few progress ticks.
         while ticks.load(Ordering::Relaxed) < 3 {
             std::hint::spin_loop();
         }
-        barrier.wait();
+        barrier.wait(&bells[0], || false);
         waiter.join().unwrap();
         assert!(ticks.load(Ordering::Relaxed) >= 3);
     }

@@ -18,6 +18,7 @@ use crate::barrier::SenseBarrier;
 use crate::fault::{FaultConfig, FaultPlane};
 use crate::netmodel::{NetConfig, NetModel};
 use crate::{FabricError, Result};
+use lamellar_executor::Doorbell;
 use lamellar_metrics::{FabricMetrics, FabricStats};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -91,6 +92,9 @@ impl FabricConfig {
 /// The interconnect shared by all simulated PEs.
 pub struct Fabric {
     arenas: Vec<Arena>,
+    /// Each PE's doorbell, rung when a chunk lands in its receive queue (a
+    /// libfabric completion wait object).
+    bells: Vec<Arc<Doorbell>>,
     barrier: SenseBarrier,
     model: NetModel,
     sym_len: usize,
@@ -119,9 +123,11 @@ impl Fabric {
             .map(|_| Mutex::new(FreeList::new(cfg.sym_len, cfg.heap_len)))
             .collect();
         let fault = cfg.fault.map(|f| Arc::new(FaultPlane::new(f, cfg.num_pes)));
+        let bells: Vec<Arc<Doorbell>> = (0..cfg.num_pes).map(|_| Arc::default()).collect();
         let fabric = Arc::new(Fabric {
             arenas,
-            barrier: SenseBarrier::new(cfg.num_pes),
+            barrier: SenseBarrier::new(bells.clone()),
+            bells,
             model: NetModel::new(cfg.net),
             sym_len: cfg.sym_len,
             sym_alloc: Mutex::new(FreeList::new(0, cfg.sym_len)),
@@ -141,6 +147,11 @@ impl Fabric {
     /// Size of the symmetric region (same on every PE).
     pub fn sym_len(&self) -> usize {
         self.sym_len
+    }
+
+    /// Every PE's doorbell, by PE id.
+    pub fn doorbells(&self) -> &[Arc<Doorbell>] {
+        &self.bells
     }
 
     /// The network cost model.
@@ -242,15 +253,6 @@ impl Fabric {
     /// Bytes free in the symmetric region.
     pub fn sym_available(&self) -> usize {
         self.sym_alloc.lock().available()
-    }
-
-    /// Bytes free in `pe`'s heap.
-    ///
-    /// # Errors
-    /// [`FabricError::InvalidPe`] for an out-of-range `pe`.
-    pub fn heap_available(&self, pe: usize) -> Result<usize> {
-        self.check_pe(pe)?;
-        Ok(self.heap_allocs[pe].lock().available())
     }
 
     /// Bytes currently allocated in `pe`'s heap (staging-leak detection).
@@ -388,14 +390,14 @@ impl FabricPe {
 
     /// World barrier over all PEs.
     pub fn barrier(&self) {
-        self.fabric.metrics.record_barrier_round();
-        self.fabric.barrier.wait();
+        self.barrier_with_progress(|| false);
     }
 
-    /// World barrier that keeps running `progress` while waiting.
-    pub fn barrier_with_progress(&self, progress: impl FnMut()) {
+    /// World barrier that runs `progress` (which says whether it did work)
+    /// while waiting.
+    pub fn barrier_with_progress(&self, progress: impl FnMut() -> bool) {
         self.fabric.metrics.record_barrier_round();
-        self.fabric.barrier.wait_with_progress(progress);
+        self.fabric.barrier.wait(&self.fabric.bells[self.pe], progress);
     }
 }
 

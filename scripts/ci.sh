@@ -40,6 +40,12 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-di
 echo "==> cargo test -q (hard ${TEST_TIMEOUT}s timeout)"
 timeout --signal=KILL "$TEST_TIMEOUT" cargo test -q --workspace
 
+echo "==> resilience and perf_smoke, 20 back-to-back debug runs (timing faults show up as flakes)"
+for run in $(seq 1 20); do
+  echo "--- run $run/20"
+  timeout --signal=KILL "$TEST_TIMEOUT" cargo test -q --test resilience --test perf_smoke
+done
+
 echo "==> perf smoke: unit-AM histogram gate (aggregation factor, zero replies) + array batch inline gate (no spills, zero replies)"
 # Deterministic counts, not timings: a tiny 4-PE unit-AM histogram must show
 # zero reply envelopes and a healthy envelopes-per-chunk aggregation factor,

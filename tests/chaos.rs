@@ -8,6 +8,8 @@
 //! genuinely severed. Nothing hangs, nothing panics, and payloads arrive
 //! bit-exact or not at all.
 
+mod common;
+
 use lamellar_core::am::{AmError, AmOpts, IdempotentAm, RetryPolicy};
 use lamellar_repro::prelude::*;
 use proptest::prelude::*;
@@ -41,8 +43,7 @@ fn run_chaos(num_pes: usize, msgs: usize, fault: FaultConfig) -> Vec<RuntimeStat
         .faults(fault);
     lamellar_core::world::launch_with_config(cfg, move |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         let me = world.my_pe();
         let handles: Vec<_> = (0..msgs)
             .flat_map(|i| (0..world.num_pes()).filter(|&dst| dst != me).map(move |dst| (i, dst)))
@@ -187,8 +188,7 @@ fn chaos_drops_unit_am_workload_completes_exactly_once() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256).faults(fault);
     let stats = lamellar_core::world::launch_with_config(cfg, move |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         let me = world.my_pe() as u64;
         let dst = (world.my_pe() + 1) % world.num_pes();
         for i in 0..MSGS {
@@ -261,8 +261,7 @@ fn chaos_delay_plus_retry_is_exactly_once_for_idempotent_ams() {
     ));
     let stats = lamellar_core::world::launch_with_config(cfg, move |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             // Sequential: one AM in flight at a time, every reply checked.
             for i in 0..30u64 {

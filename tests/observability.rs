@@ -17,6 +17,8 @@
 //!   `before` snapshot from the phase, and the one before `after`), each
 //!   entered by 2 PEs → 4 barrier rounds.
 
+mod common;
+
 use lamellar_core::am::{AmError, AmOpts, IdempotentAm, RetryPolicy};
 use lamellar_repro::prelude::*;
 use std::time::Duration;
@@ -37,10 +39,7 @@ fn two_pe_am_round_trip_increments_every_layer() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(16);
     let deltas = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        // Nobody starts the phase until every PE has its `before` snapshot,
-        // so the fabric-global counters are sampled consistently.
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
 
         let replies = world.block_on(world.exec_am_all(WhoAmI {}));
         assert_eq!(replies, vec![0, 1]);
@@ -163,8 +162,7 @@ fn unit_am_workload_elides_every_reply() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
     let deltas = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
 
         let dst = (world.my_pe() + 1) % world.num_pes();
         for slot in 0..N {
@@ -222,8 +220,7 @@ fn resilience_counters_increment_exactly_per_event() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
     let deltas = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             // 1 panic, caught on the serving PE (PE1).
             match world.block_on(world.exec_am_pe(1, ObsPanicAm {}).fallible()) {

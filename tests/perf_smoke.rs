@@ -18,6 +18,8 @@
 //! Invoked explicitly (release) from `scripts/ci.sh`; also runs with the
 //! normal workspace suite.
 
+mod common;
+
 use lamellar_core::darc::Darc;
 use lamellar_repro::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,9 +56,7 @@ fn perf_smoke_unit_am_histogram_gate() {
             v
         });
         world.barrier();
-        let before = world.stats();
-        // Consistent snapshot: nobody starts until everyone has `before`.
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
 
         for round in 0..ROUNDS {
             for dst in (0..npes).filter(|&p| p != me) {

@@ -9,6 +9,8 @@
 //! explicitly (release) from `scripts/ci.sh`; also runs with the normal
 //! workspace suite.
 
+mod common;
+
 use lamellar_repro::prelude::*;
 
 const LEN: usize = 2_000;
@@ -35,8 +37,7 @@ fn perf_smoke_array_batch_inline_gate() {
         let mut arr = AtomicArray::<usize>::new(&world, LEN, Distribution::Block);
         arr.set_batch_limit(LIMIT);
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         arr.batch_add_ff(updates(world.my_pe()), 1);
         world.wait_all();
         world.barrier();

@@ -7,6 +7,8 @@
 //! A panic hook counts every panic in the process — the progress tickers'
 //! included, which a test assertion on the main thread would not see.
 
+mod common;
+
 use lamellar_core::am::AmOpts;
 use lamellar_core::proto::Envelope;
 use lamellar_repro::prelude::*;
@@ -99,7 +101,7 @@ fn fuzzed_frames_never_panic_or_stall_the_receiver() {
     // A small heap bounds what a fuzzed `LargeRequest` may allocate.
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).heap_len(1 << 16);
     let decode_errors = lamellar_core::world::launch_with_config(cfg, move |world| {
-        let before = world.stats();
+        let before = common::stats_before_traffic(&world);
         for seed in 0..SEEDS {
             if world.my_pe() == 1 {
                 let mut rng = Rng(seed);

@@ -6,13 +6,17 @@
 //! never hangs the caller — the failure surfaces as a typed `AmError`
 //! within bounded time, and `wait_all` always terminates.
 
+mod common;
+
 use lamellar_codec::{CodecError, Reader};
 use lamellar_core::am::{AmError, AmOpts, UnitAm};
 use lamellar_core::config::WatchdogConfig;
+use lamellar_core::proto::Envelope;
 use lamellar_repro::prelude::*;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
@@ -53,8 +57,7 @@ fn remote_panic_is_isolated_and_typed() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
     let stats = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             // Local panic: same typed error, pe = self.
             match world.block_on(world.exec_am_pe(0, PanicAm { boom: true }).fallible()) {
@@ -135,8 +138,7 @@ fn cancellation_releases_pending_reply_slots() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
     let stats = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             // Explicit cancel of a slow AM: wait_all must not wait the
             // full handler duration.
@@ -405,7 +407,7 @@ impl LamellarAm for PoisonAm {
 fn undecodable_payload_is_an_error_reply_not_a_dead_progress_thread() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi);
     let stats = lamellar_core::world::launch_with_config(cfg, |world| {
-        let before = world.stats();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             let out = world.block_on(world.exec_am_pe(1, PoisonAm { poison: true }).fallible());
             match out {
@@ -464,7 +466,7 @@ lamellar_core::am! {
 fn undecodable_reply_is_an_error_not_a_dead_progress_thread() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi);
     let stats = lamellar_core::world::launch_with_config(cfg, |world| {
-        let before = world.stats();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             let out =
                 world.block_on(world.exec_am_pe(1, PoisonReplyAm { poison: true }).fallible());
@@ -534,7 +536,7 @@ fn malformed_frames_are_counted_and_the_ticker_survives() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi);
     lamellar_core::world::launch_with_config(cfg, move |world| {
         for (name, frame) in &cases {
-            let before = world.stats();
+            let before = common::stats_before_traffic(&world);
             if world.my_pe() == 1 {
                 // Flushing around the frame gives it a chunk of its own.
                 let lamellae = world.rt().lamellae();
@@ -593,8 +595,7 @@ fn panicking_unit_ams_are_counted_inline_and_spilled() {
     let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(256);
     let deltas = lamellar_core::world::launch_with_config(cfg, |world| {
         world.barrier();
-        let before = world.stats();
-        world.barrier();
+        let before = common::stats_before_traffic(&world);
         if world.my_pe() == 0 {
             world.exec_unit_am_pe(1, UnitPanicAm { after_yield: false });
             world.exec_unit_am_pe(1, UnitPanicAm { after_yield: true });
@@ -730,4 +731,114 @@ fn heap_exhaustion_is_a_typed_alloc_failure() {
         }
         world.barrier();
     });
+}
+
+/// A `FreeHeap` only ends a lease the sender holds: PE 1 forges one naming
+/// PE 0's live one-sided region, which PE 0 counts as a decode error while
+/// the region keeps its allocation (the next one does not alias it) and its
+/// bytes.
+#[test]
+fn forged_free_heap_leaves_live_memory_alone() {
+    const LEN: usize = 8192;
+    let offset = Arc::new(AtomicUsize::new(0));
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    let outcomes = lamellar_core::world::launch_with_config(cfg, move |world| {
+        let region = (world.my_pe() == 0).then(|| {
+            let region = world.alloc_one_sided_mem_region::<u8>(LEN);
+            // SAFETY: the region is private to this thread until the barrier.
+            let bytes = unsafe { region.as_mut_slice() };
+            bytes.fill(0xa5);
+            let base = world.rt().lamellae().base_ptr(0) as usize;
+            offset.store(bytes.as_ptr() as usize - base, Ordering::SeqCst);
+            region
+        });
+        // The barrier also publishes the offset to PE 1.
+        let before = common::stats_before_traffic(&world);
+        if world.my_pe() == 1 {
+            let free = Envelope::FreeHeap { offset: offset.load(Ordering::SeqCst) as u64 };
+            let lamellae = world.rt().lamellae();
+            lamellae.send_with(0, free.framed_len(0), &mut |b| free.frame(b)).unwrap();
+            // PE 0 serves one sender's chunks in the order they were sent:
+            // once the echo is back, the forged free has been served.
+            let opts = AmOpts::deadline(Duration::from_secs(2));
+            let h = world.exec_am_pe_with(0, EchoAm { tag: 8 }, opts).fallible();
+            assert_eq!(world.block_on(h).ok(), Some((8, 0)), "PE0 stopped answering");
+        }
+        world.barrier();
+        let outcome = region.map(|region| {
+            let next = world.alloc_one_sided_mem_region::<u8>(LEN);
+            // SAFETY: both regions are private to this thread.
+            unsafe { next.as_mut_slice().fill(0x5a) };
+            let intact = unsafe { region.as_slice() }.iter().all(|&b| b == 0xa5);
+            (world.rt().lamellae().heap_in_use(), intact)
+        });
+        world.barrier();
+        (outcome, world.stats().delta(&before).am.decode_errors)
+    });
+    let (heap_in_use, intact) = outcomes[0].0.expect("PE0 outcome");
+    assert_eq!(heap_in_use, 2 * LEN, "the forged free released a live allocation");
+    assert!(intact, "a later allocation overwrote the live region");
+    assert_eq!(outcomes[0].1, 1, "PE0 counts the forged FreeHeap");
+}
+
+/// Staging buffers lent to a PE that dies are freed when the pair is
+/// declared dead: large tracked AMs toward a severed pair fail with
+/// `PeerUnreachable`, and the origin's heap ends empty.
+#[test]
+fn staging_buffers_lent_to_a_severed_pair_are_reclaimed() {
+    let mut sever = FaultRates::none();
+    sever.drop = 1.0;
+    let fault = FaultConfig::seeded(0x1ea5).pair(0, 1, sever);
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi).agg_threshold(1024).faults(fault);
+    let outcomes = lamellar_core::world::launch_with_config(cfg, |world| {
+        if world.my_pe() != 0 {
+            world.barrier();
+            return None;
+        }
+        // 8 KiB is above the 1 KiB threshold: each payload is staged.
+        let handles: Vec<_> = (0..4)
+            .map(|_| world.exec_am_pe(1, BlobAm { data: vec![7; 8192] }).fallible())
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| world.block_on(h)).collect();
+        world.wait_all();
+        let heap_in_use = world.rt().lamellae().heap_in_use();
+        world.barrier();
+        Some((results, heap_in_use))
+    });
+    let (results, heap_in_use) = outcomes[0].clone().expect("PE0 outcome");
+    for r in &results {
+        assert!(
+            matches!(r, Err(AmError::Comm(CommError::PeerUnreachable { pe: 1 }))),
+            "expected PeerUnreachable, got {r:?}"
+        );
+    }
+    assert_eq!(heap_in_use, 0, "staging buffers lent to the dead PE leaked");
+}
+
+/// A zero-length send is a typed error that touches no buffer: after three
+/// of them PE 1's next tracked echo still answers within 2 s.
+#[test]
+fn empty_sends_are_rejected_and_the_pair_stays_healthy() {
+    let cfg = WorldConfig::new(2).backend(Backend::Rofi);
+    let outcomes = lamellar_core::world::launch_with_config(cfg, |world| {
+        let mut outcome = None;
+        if world.my_pe() == 1 {
+            let lamellae = world.rt().lamellae();
+            // A panicking send must fail this test, not leave PE 0 waiting
+            // at the barrier below.
+            let sends = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let sends: Vec<_> = (0..3).map(|_| lamellae.send_with(0, 0, &mut |_| {})).collect();
+                lamellae.flush();
+                sends
+            }));
+            let opts = AmOpts::deadline(Duration::from_secs(2));
+            let h = world.exec_am_pe_with(0, EchoAm { tag: 6 }, opts).fallible();
+            outcome = Some((sends.map_err(|_| "a send panicked"), world.block_on(h).ok()));
+        }
+        world.barrier();
+        outcome
+    });
+    let (sends, echo) = outcomes[1].clone().expect("PE1 outcome");
+    assert_eq!(sends, Ok(vec![Err(CommError::EmptyMessage); 3]));
+    assert_eq!(echo, Some((6, 0)), "PE0 stopped answering after the empty sends");
 }
