@@ -208,7 +208,7 @@ impl<T: ArrayElem> RawArray<T> {
     /// this re-checks at the doorbell's `PARK_CAP`.
     pub(crate) fn wait_unique(&self, team: &LamellarTeam) {
         let expected = team.num_pes();
-        team.rt().lamellae().doorbell().wait_until(Side::Wire, |_| {
+        team.rt().lamellae().doorbell().wait_until(Side::Wire, || {
             if self.region.handle_count() > expected {
                 ControlFlow::Continue(false)
             } else {

@@ -202,7 +202,8 @@ impl Lamellae {
         self.queues.flush_to(dst);
     }
 
-    /// This PE's doorbell, which every waiting thread of the PE parks on.
+    /// This PE's doorbell, which every waiting thread of the PE but the
+    /// progress thread parks on.
     pub fn doorbell(&self) -> &Arc<Doorbell> {
         &self.ep.fabric().doorbells()[self.ep.pe()]
     }

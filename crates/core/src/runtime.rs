@@ -19,10 +19,10 @@
 //! also pump progress, so a PE blocked in a collective keeps executing AMs
 //! sent to it.
 //!
-//! Every waiting thread of a PE (the progress thread, idle workers,
-//! `block_on`, `wait_all`, barriers) parks on the PE's one
-//! [`Doorbell`](lamellar_executor::Doorbell), rung by whatever gives it work
-//! (DESIGN.md §4f).
+//! Every other waiting thread of a PE (idle workers, `block_on`,
+//! `wait_all`, barriers) parks on the PE's one
+//! [`Doorbell`](lamellar_executor::Doorbell), rung by whatever gives it
+//! work; the progress thread polls the wire (DESIGN.md §4f).
 
 use crate::am::{
     am_id, lookup_am, register_am, AmError, AmFuture, AmHandle, AmOpts, AmOutput, CancelToken,
@@ -164,6 +164,9 @@ const INLINE_MAX_PAYLOAD: usize = 65536;
 /// Completions a serving PE accumulates per source before emitting a
 /// cumulative `AckCount` mid-traffic (idle ticks flush unconditionally).
 const UNIT_ACK_BATCH: u64 = 64;
+
+/// The progress thread's sleep between idle ticks.
+const WIRE_POLL: Duration = Duration::from_micros(20);
 
 /// Deadline bookkeeping for one remote request (DESIGN.md §4c). Lives in
 /// `RuntimeInner::deadlines`, checked on every progress tick. The first
@@ -850,7 +853,7 @@ impl RuntimeInner {
     /// Block until every AM and task launched by this PE has completed.
     pub fn wait_all(self: &Arc<Self>) {
         let _waiting = WaitGuard::new(self);
-        self.lamellae.doorbell().wait_until(Side::Wire, |_| {
+        self.lamellae.doorbell().wait_until(Side::Wire, || {
             self.lamellae.flush();
             if self.my_pending.load(Ordering::Acquire) == 0 {
                 return ControlFlow::Break(());
@@ -1079,7 +1082,8 @@ impl RuntimeInner {
             let out = fut.await;
             rt.complete(src_pe, completion, out);
             rt.note_progress();
-            // The reply or unit-ack credit is the progress thread's to send.
+            // A waiting `wait_all` or barrier sends the reply or unit-ack
+            // credit now, before the progress thread's next poll.
             rt.lamellae.doorbell().ring(Side::Wire);
         }));
     }
@@ -1178,19 +1182,18 @@ impl RuntimeInner {
     }
 
     /// The progress engine: runs on a dedicated thread until shutdown,
-    /// parked on the doorbell while ticks find nothing to do. Each park
-    /// follows an idle pass, so sub-threshold batches never stall.
+    /// polling the wire every `WIRE_POLL` while ticks find nothing to do.
+    /// Each idle tick is followed by an idle pass, so sub-threshold batches
+    /// never stall. It polls rather than parks on the doorbell: woken per
+    /// chunk, an idle round trip cost one wake-up per hop, whose latency
+    /// follows where the scheduler puts the woken thread (DESIGN.md §4f).
     pub(crate) fn progress_loop(self: &Arc<Self>) {
-        self.lamellae.doorbell().wait_until(Side::Wire, |armed| {
-            if self.shutdown.load(Ordering::Acquire) {
-                return ControlFlow::Break(());
-            }
-            let any = self.tick();
-            if !any && armed {
+        while !self.shutdown.load(Ordering::Acquire) {
+            if !self.tick() {
                 self.flush_idle();
+                std::thread::sleep(WIRE_POLL);
             }
-            ControlFlow::Continue(any)
-        })
+        }
     }
 
     /// The idle pass: seal each partial aggregation buffer but one a request

@@ -236,7 +236,6 @@ impl Drop for WorldGuard {
         self.rt.wait_all();
         self.rt.barrier();
         self.rt.shutdown.store(true, Ordering::Release);
-        self.rt.lamellae().doorbell().ring(Side::Wire);
         if let Some(h) = self.progress.lock().take() {
             let _ = h.join();
         }

@@ -15,14 +15,14 @@ use std::task::Wake;
 use std::time::{Duration, Instant};
 
 /// Longest a waiter sleeps unrung: a backstop for work that no ringer
-/// announces (AM deadlines, retransmits, a partial buffer left for a later
-/// idle pass), not for lost wake-ups.
+/// announces (AM deadlines, retransmits, handle drops), not for lost
+/// wake-ups.
 pub const PARK_CAP: Duration = Duration::from_millis(1);
 
 /// Which sleepers a ring wakes.
 #[derive(Debug, Clone, Copy)]
 pub enum Side {
-    /// The progress thread, `wait_all` and barriers: they wait on the wire.
+    /// `wait_all`, barriers and `wait_unique`: they wait on the wire.
     Wire,
     /// Workers, `block_on` and `wait_idle`: they wait on tasks and wakers.
     Tasks,
@@ -49,16 +49,11 @@ impl Doorbell {
     }
 
     /// Run `step` until it breaks, parking on `side` after a round that
-    /// finds no work. `step` returns `Continue(did_work)`; its argument is
-    /// true on the armed look just before parking.
-    pub fn wait_until<T>(
-        &self,
-        side: Side,
-        mut step: impl FnMut(bool) -> ControlFlow<T, bool>,
-    ) -> T {
+    /// finds no work. `step` returns `Continue(did_work)`.
+    pub fn wait_until<T>(&self, side: Side, mut step: impl FnMut() -> ControlFlow<T, bool>) -> T {
         let mut armed: Option<Armed<'_>> = None;
         loop {
-            match step(armed.is_some()) {
+            match step() {
                 ControlFlow::Break(v) => return v,
                 ControlFlow::Continue(true) => armed = None,
                 ControlFlow::Continue(false) => match armed.take() {

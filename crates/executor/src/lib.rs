@@ -23,7 +23,8 @@
 //!
 //! Every wait parks on the PE's one [`Doorbell`], which spawns and
 //! `block_on`'s waker ring; no wait spins, yields or sleeps on a timer of
-//! its own (DESIGN.md §4f).
+//! its own (DESIGN.md §4f). The runtime's progress thread, which polls the
+//! wire, is the one thread of a PE that does not park on it.
 //!
 //! An ablation (`single_queue` mode) replaces the per-worker deques with the
 //! shared injector only, used by `bench/bin/ablation_executor` to measure

@@ -195,7 +195,7 @@ impl ThreadPool {
         let waker = Waker::from(Arc::clone(&self.inner.bell));
         let mut cx = Context::from_waker(&waker);
         let mut fut = std::pin::pin!(fut);
-        self.inner.bell.wait_until(Side::Tasks, |_| match fut.as_mut().poll(&mut cx) {
+        self.inner.bell.wait_until(Side::Tasks, || match fut.as_mut().poll(&mut cx) {
             Poll::Ready(v) => ControlFlow::Break(v),
             Poll::Pending => ControlFlow::Continue(self.try_run_one_external()),
         })
@@ -204,7 +204,7 @@ impl ThreadPool {
     /// Block until every spawned task (AM, communication task, user future)
     /// has completed — the engine behind the paper's `wait_all()`.
     pub fn wait_idle(&self) {
-        self.inner.bell.wait_until(Side::Tasks, |_| match self.outstanding() {
+        self.inner.bell.wait_until(Side::Tasks, || match self.outstanding() {
             0 => ControlFlow::Break(()),
             _ => ControlFlow::Continue(self.try_run_one_external()),
         })
@@ -265,7 +265,7 @@ fn worker_loop(inner: Arc<PoolInner>, worker: Worker<Arc<Task>>, index: usize) {
             }
         })
     };
-    inner.bell.wait_until(Side::Tasks, |_| {
+    inner.bell.wait_until(Side::Tasks, || {
         if run_one(&inner) {
             ControlFlow::Continue(true)
         } else if inner.shutdown.load(Ordering::Acquire) {

@@ -55,7 +55,7 @@ impl SenseBarrier {
             self.bells.iter().for_each(|b| b.ring(Side::Wire));
             return true;
         }
-        bell.wait_until(Side::Wire, |_| {
+        bell.wait_until(Side::Wire, || {
             if self.sense.load(Ordering::Acquire) == my_sense {
                 ControlFlow::Break(false)
             } else {
